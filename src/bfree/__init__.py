@@ -51,7 +51,7 @@ from .measures import (
     sample_product,
     squeeze,
 )
-from .sieve import SAProfile, eta_window, one_density, phi_sa_window, phi_window
+from .sieve import SAProfile, eta_window, phi_sa_window, phi_window
 from .sturmian import (
     PeriodicHereditarySystem,
     RotationCoding,
@@ -68,4 +68,4 @@ from .sturmian import (
     two_mme_system,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import BinaryWord, BSet
 from .errors import Inadmissible, StateSpaceTooLarge
 
@@ -25,15 +27,56 @@ __all__ = [
     "minimal_translation_period",
 ]
 
-# Transfer-state counting keeps one hit-residue subset per modulus; the
+# Transfer-state counting keeps one hit-residue field per modulus; the
 # state space is bounded by prod 2^{b_k}, so cap sum b_k.
 MAX_STATE_BITS = 24
 
 
+def _layout(moduli: tuple[int, ...]) -> tuple[list[int], int, int]:
+    """Field offsets of a residue mask, and the two constants that test it.
+
+    Modulus k owns bits offsets[k] .. offsets[k] + b_k - 1, followed by one
+    spare bit that stays 0.  Adding ``low`` (a 1 at every field's first bit)
+    carries into a spare bit exactly when a field is full, so a mask hits
+    every residue of some modulus iff (mask + low) & spare is nonzero.
+    """
+    offsets = [sum(moduli[:k]) + k for k in range(len(moduli))]
+    low = sum(1 << off for off in offsets)
+    spare = sum(1 << (off + b) for off, b in zip(offsets, moduli))
+    return offsets, low, spare
+
+
+def _residue_mask(positions, moduli: tuple[int, ...]) -> int:
+    """Residues hit by ``positions`` modulo each modulus, as one bitmask.
+
+    Bit offsets[k] + r (see :func:`_layout`) is set iff some position is
+    r mod b_k.  ``positions`` is a numpy integer array, such as a word's
+    support, or an iterable of ints of any size.  The mask has sum(b_k) + K
+    bits, so its cost grows with the moduli as well as with the positions.
+    """
+    if not isinstance(positions, np.ndarray):
+        positions = np.array([int(n) for n in positions], dtype=object)
+    offsets, _, _ = _layout(moduli)
+    bits = np.zeros(sum(moduli) + len(moduli), dtype=np.uint8)
+    for off, b in zip(offsets, moduli):
+        bits[off + (positions % b).astype(np.intp)] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _fields(mask: int, moduli: tuple[int, ...]) -> list[int]:
+    """The per-modulus fields of a residue mask; bit r of field k is r mod b_k."""
+    offsets, _, _ = _layout(moduli)
+    return [(mask >> off) & ((1 << b) - 1) for off, b in zip(offsets, moduli)]
+
+
+def _residues(mask: int, moduli: tuple[int, ...]) -> list[list[int]]:
+    """Residues set in each field of ``mask``, ascending; ``~mask`` gives the missed ones."""
+    return [[r for r, c in enumerate(reversed(bin(f))) if c == "1"] for f in _fields(mask, moduli)]
+
+
 def residue_hits(word: BinaryWord, bset: BSet) -> list[set[int]]:
     """Residues modulo each b_k hit by the word's support."""
-    support = word.support
-    return [set(int(n) % b for n in support) for b in bset.moduli]
+    return [set(r) for r in _residues(_residue_mask(word.support, bset.moduli), bset.moduli)]
 
 
 def is_admissible(word: BinaryWord, bset: BSet) -> bool:
@@ -42,36 +85,40 @@ def is_admissible(word: BinaryWord, bset: BSet) -> bool:
     Depends only on the bits, not the offset, and is hereditary: clearing
     ones never destroys admissibility.
     """
-    return all(len(h) < b for h, b in zip(residue_hits(word, bset), bset.moduli))
+    _, low, spare = _layout(bset.moduli)
+    return not (_residue_mask(word.support, bset.moduli) + low) & spare
 
 
-def block_complexity(bset: BSet, n_max: int, *, max_state_bits: int = MAX_STATE_BITS) -> list[int]:
+def block_complexity(bset: BSet, n_max: int) -> list[int]:
     """Exact counts p_1..p_{n_max} of admissible words of each length.
 
     Dynamic programming over equivalence classes of partial words: the
-    class of a prefix is the tuple of hit-residue subsets per modulus
+    class of a prefix is its residue mask, the hit residues per modulus
     (position residues are implicit in the step index).  Counts are exact
     big integers; reachable for n in the thousands at small moduli where
     naive 2^n enumeration is hopeless.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if sum(bset.moduli) > max_state_bits:
+    if sum(bset.moduli) > MAX_STATE_BITS:
         raise StateSpaceTooLarge(
-            f"sum of moduli {sum(bset.moduli)} exceeds budget {max_state_bits}"
+            f"sum of moduli {sum(bset.moduli)} exceeds budget {MAX_STATE_BITS}"
         )
-    mods = bset.moduli
-    # State: tuple of frozensets of hit residues, all proper subsets.
-    states: dict[tuple[frozenset, ...], int] = {tuple(frozenset() for _ in mods): 1}
+    _, low, spare = _layout(bset.moduli)
+    # position i inserts steps[i % period]
+    period = bset.period
+    steps = [_residue_mask([i], bset.moduli) for i in range(min(n_max, period))]
+    # State: residue mask with no full field.
+    states: dict[int, int] = {0: 1}
     counts: list[int] = []
     for i in range(n_max):
-        nxt: dict[tuple[frozenset, ...], int] = {}
+        step = steps[i % period]
+        # bit 0 at position i: state unchanged
+        nxt = states.copy()
         for state, c in states.items():
-            # bit 0 at position i: state unchanged
-            nxt[state] = nxt.get(state, 0) + c
             # bit 1 at position i: insert i mod b_k everywhere
-            grown = tuple(h | {i % b} for h, b in zip(state, mods))
-            if all(len(h) < b for h, b in zip(grown, mods)):
+            grown = state | step
+            if not (grown + low) & spare:
                 nxt[grown] = nxt.get(grown, 0) + c
         states = nxt
         counts.append(sum(states.values()))
@@ -85,26 +132,25 @@ def admissible_words(bset: BSet, n: int):
     already misses a residue mod every modulus (the all-zero extension
     then works), so no dead branches are visited.
     """
-    mods = bset.moduli
+    _, low, spare = _layout(bset.moduli)
+    period = bset.period
+    steps = [_residue_mask([i], bset.moduli) for i in range(min(n, period))]
     prefix: list[str] = []
-    state: list[tuple[frozenset, ...]] = [tuple(frozenset() for _ in mods)]
 
-    def dfs(i):
+    def dfs(i, state):
         if i == n:
             yield "".join(prefix)
             return
         prefix.append("0")
-        yield from dfs(i + 1)
+        yield from dfs(i + 1, state)
         prefix.pop()
-        grown = tuple(h | {i % b} for h, b in zip(state[-1], mods))
-        if all(len(h) < b for h, b in zip(grown, mods)):
+        grown = state | steps[i % period]
+        if not (grown + low) & spare:
             prefix.append("1")
-            state.append(grown)
-            yield from dfs(i + 1)
-            state.pop()
+            yield from dfs(i + 1, grown)
             prefix.pop()
 
-    yield from dfs(0)
+    yield from dfs(0, 0)
 
 
 def entropy_from_complexity(p: list[int]) -> list[float]:
@@ -129,8 +175,8 @@ def theta_window(word: BinaryWord, bset: BSet) -> list[frozenset[int] | None]:
     inadmissible at that modulus).  Ambiguity is reported, never guessed.
     """
     out: list[frozenset[int] | None] = []
-    for hits, b in zip(residue_hits(word, bset), bset.moduli):
-        missing = set(range(b)) - hits
+    mask = _residue_mask(word.support, bset.moduli)
+    for missing, b in zip(_residues(~mask, bset.moduli), bset.moduli):
         out.append(frozenset((-a) % b for a in missing) if missing else None)
     return out
 
@@ -139,13 +185,16 @@ def minimal_translation_period(residues: frozenset[int] | set[int], b: int) -> i
     """Smallest j >= 1, dividing b, with residues - j == residues (mod b).
 
     Only divisors of b need checking: translations fixing the set form a
-    subgroup of the cyclic group Z/bZ.
+    subgroup of the cyclic group Z/bZ.  j = b always qualifies.
     """
-    target = frozenset(r % b for r in residues)
-    for j in range(1, b + 1):
-        if b % j == 0 and frozenset((r - j) % b for r in target) == target:
-            return j
-    raise AssertionError("unreachable: j = b always fixes the set")
+    field = _residue_mask(residues, (b,))
+    full = (1 << b) - 1
+    # rotating the field right by j subtracts j from every residue
+    return next(
+        j
+        for j in range(1, b + 1)
+        if b % j == 0 and ((field >> j) | (field << (b - j))) & full == field
+    )
 
 
 @dataclass(frozen=True)
@@ -170,8 +219,9 @@ def spectrum_profile(word: BinaryWord, bset: BSet) -> SpectrumProfile:
     the offending modulus index otherwise.
     """
     entries = []
-    for k, (hits, b) in enumerate(zip(residue_hits(word, bset), bset.moduli)):
-        missing = frozenset(set(range(b)) - hits)
+    mask = _residue_mask(word.support, bset.moduli)
+    for k, (residues, b) in enumerate(zip(_residues(~mask, bset.moduli), bset.moduli)):
+        missing = frozenset(residues)
         if not missing:
             raise Inadmissible(k)
         entries.append((b, len(missing), missing, minimal_translation_period(missing, b)))

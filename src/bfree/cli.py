@@ -23,8 +23,11 @@ def _parse_bset(text: str) -> BSet:
 
 
 def _parse_window(text: str) -> tuple[int, int]:
-    lo, hi = text.split(":")
-    return int(lo), int(hi)
+    try:
+        lo, hi = text.split(":")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
 
 
 def _parse_profile(bset: BSet, s_text: str, a_text: str) -> sieve.SAProfile:
@@ -54,12 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("eta")
     p.add_argument("--bset", required=True)
-    p.add_argument("--window", required=True)
+    p.add_argument("--window", type=_parse_window, required=True)
 
     p = cmd("phi")
     p.add_argument("--bset", required=True)
     p.add_argument("--omega", required=True, help="comma-separated residues")
-    p.add_argument("--window", required=True)
+    p.add_argument("--window", type=_parse_window, required=True)
 
     p = cmd("admissible")
     p.add_argument("--bset", required=True)
@@ -86,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("sample")
     p.add_argument("--measure", choices=["mirsky", "mme", "product", "generalized"], required=True)
     p.add_argument("--bset", required=True)
-    p.add_argument("--window", required=True)
+    p.add_argument("--window", type=_parse_window, required=True)
     p.add_argument("--p", default="1")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -122,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="golden", help='"golden" or a rational/decimal in (0,1)')
     p.add_argument("--y", default="0")
     p.add_argument("--interval", default="0:1/2")
-    p.add_argument("--window", required=True)
+    p.add_argument("--window", type=_parse_window, required=True)
 
     p = cmd("counterexample")
     p.add_argument("which", choices=["two-mme"])
@@ -149,13 +152,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args) -> dict:
     c = args.command
     if c == "eta":
-        lo, hi = _parse_window(args.window)
+        lo, hi = args.window
         word = sieve.eta_window(_parse_bset(args.bset), lo, hi)
         return {"word": json.loads(word.to_json())}
     if c == "phi":
         bset = _parse_bset(args.bset)
         omega = OdometerPoint(bset, tuple(int(x) for x in args.omega.split(",")))
-        lo, hi = _parse_window(args.window)
+        lo, hi = args.window
         return {"word": json.loads(sieve.phi_window(omega, lo, hi).to_json())}
     if c == "admissible":
         return {"admissible": admissibility.is_admissible(_word(args), _parse_bset(args.bset))}
@@ -186,7 +189,7 @@ def _run(args) -> dict:
         return {"probability": str(value), "float": float(value)}
     if c == "sample":
         bset = _parse_bset(args.bset)
-        lo, hi = _parse_window(args.window)
+        lo, hi = args.window
         if args.measure == "mirsky":
             batch = measures.sample_mirsky(bset, lo, hi, args.count, args.seed)
         elif args.measure in ("mme", "product"):
@@ -239,7 +242,7 @@ def _run(args) -> dict:
             coding = sturmian.RotationCoding.from_real(
                 Fraction(args.alpha), Fraction(args.y), (a, b)
             )
-        lo, hi = _parse_window(args.window)
+        lo, hi = args.window
         return {"word": json.loads(sturmian.sturmian_window(coding, lo, hi).to_json())}
     if c == "counterexample":
         sys_a, sys_b = sturmian.two_mme_system()

@@ -11,9 +11,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .admissibility import residue_hits
 from .core import BinaryWord, BSet
-from .errors import BadDensityOrder, NotMinimalPeriod, WrongWindowLength
+from .errors import BadDensityOrder, WrongWindowLength
 from .sieve import SAProfile
+from .sturmian import PeriodicHereditarySystem
 
 __all__ = [
     "EntropyReport",
@@ -66,9 +68,7 @@ def htop_bfree(bset: BSet) -> EntropyReport:
 
     Equals prod(1 - 1/b_k) bits: the support density of the free set.
     """
-    exact = math.prod(
-        (Fraction(b - 1, b) for b in bset.moduli), start=Fraction(1)
-    )
+    exact = SAProfile.plain(bset).free_density()
     return EntropyReport(
         float(exact), exact, "prod(1 - 1/b_k)", {"moduli": list(bset.moduli)}, _tail_note(bset)
     )
@@ -87,9 +87,7 @@ def h_product_type(bset: BSet, p) -> EntropyReport:
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must lie strictly in (0, 1)")
-    density = math.prod(
-        (Fraction(b - 1, b) for b in bset.moduli), start=Fraction(1)
-    )
+    density = SAProfile.plain(bset).free_density()
     exact = density if p == Fraction(1, 2) else None
     return EntropyReport(
         binary_entropy(p) * float(density),
@@ -117,16 +115,10 @@ def htop_periodic_hereditary(block: BinaryWord) -> EntropyReport:
 
     ``block`` must be the minimal period: no proper divisor length repeats.
     """
-    n = len(block)
-    if n == 0:
-        raise NotMinimalPeriod("empty block")
-    text = block.to_string()
-    for d in range(1, n):
-        if n % d == 0 and text == text[:d] * (n // d):
-            raise NotMinimalPeriod(f"block repeats with period {d} < {n}")
-    exact = Fraction(block.ones, n)
+    PeriodicHereditarySystem(block)  # raises NotMinimalPeriod unless block is minimal
+    exact = Fraction(block.ones, len(block))
     return EntropyReport(
-        float(exact), exact, "|supp C| / |C|", {"block": text}
+        float(exact), exact, "|supp C| / |C|", {"block": block.to_string()}
     )
 
 
@@ -152,9 +144,7 @@ def crt_density_bound(profile: SAProfile, word: BinaryWord) -> tuple[bool, Fract
     period = profile.bset.period
     if len(word) != period:
         raise WrongWindowLength(f"need window of length {period}, got {len(word)}")
-    support = word.support
-    for k, (b, sk) in enumerate(zip(profile.bset.moduli, profile.s)):
-        hit = {int(n) % b for n in support}
+    for hit, b, sk in zip(residue_hits(word, profile.bset), profile.bset.moduli, profile.s):
         if b - len(hit) < sk:
             raise WrongWindowLength(
                 f"support misses only {b - len(hit)} residues mod {b}, need >= {sk}"

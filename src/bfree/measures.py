@@ -22,6 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .admissibility import _fields, _layout, _residue_mask
 from .core import BinaryWord, BSet, CylinderSpec, OdometerPoint
 from .errors import EmptySupport, LengthMismatch, TooManyZeros
 from .sieve import SAProfile, phi_sa_window, phi_window
@@ -43,6 +44,9 @@ __all__ = [
 
 GENERATOR_ID = "philox4x64-keyed-v1"
 
+# Inclusion-exclusion sums 2^|zeros| terms; cap the zero-positions.
+MAX_ZEROS = 24
+
 
 def mirsky_cylinder(bset: BSet, ones: Iterable[int]) -> Fraction:
     """Exact probability that every position of ``ones`` carries a 1.
@@ -50,28 +54,33 @@ def mirsky_cylinder(bset: BSet, ones: Iterable[int]) -> Fraction:
     Equals prod_k (1 - |A mod b_k| / b_k); zero iff the positions cover a
     full residue system modulo some modulus.
     """
-    positions = set(int(n) for n in ones)
-    prob = Fraction(1)
-    for b in bset.moduli:
-        prob *= Fraction(b - len({n % b for n in positions}), b)
-    return prob
+    return mixed_cylinder(bset, CylinderSpec({n: 1 for n in ones}))
 
 
-def mixed_cylinder(bset: BSet, spec: CylinderSpec, *, max_zeros: int = 24) -> Fraction:
+def mixed_cylinder(bset: BSet, spec: CylinderSpec) -> Fraction:
     """Probability of a cylinder with both 1- and 0-constraints.
 
-    Inclusion-exclusion over subsets of the 0-positions reduces everything
-    to :func:`mirsky_cylinder`; 2^|zeros| terms, hence the cap.
+    Inclusion-exclusion over subsets S of the 0-positions: the sum of
+    (-1)^|S| times the Mirsky probability of ones | S.  2^|zeros| terms,
+    hence the cap :data:`MAX_ZEROS`.
     """
     zeros = sorted(spec.zeros)
-    ones = spec.ones
-    if len(zeros) > max_zeros:
-        raise TooManyZeros(f"{len(zeros)} zero-positions exceed cap {max_zeros}")
-    total = Fraction(0)
-    for mask in range(1 << len(zeros)):
-        subset = {zeros[i] for i in range(len(zeros)) if mask >> i & 1}
-        total += (-1) ** len(subset) * mirsky_cylinder(bset, ones | subset)
-    return total
+    if len(zeros) > MAX_ZEROS:
+        raise TooManyZeros(f"{len(zeros)} zero-positions exceed cap {MAX_ZEROS}")
+    mods = bset.moduli
+    _, low, spare = _layout(mods)
+    steps = [_residue_mask([z], mods) for z in zeros]
+
+    def free(i: int, mask: int) -> int:
+        # classes of the joint period whose coding is 1 at the positions
+        # behind mask and 0 at zeros[i:]
+        if (mask + low) & spare:
+            return 0  # a covered modulus stays covered in every superset
+        if i == len(steps):
+            return math.prod(b - f.bit_count() for f, b in zip(_fields(mask, mods), mods))
+        return free(i + 1, mask) - free(i + 1, mask | steps[i])
+
+    return Fraction(free(0, _residue_mask(spec.ones, mods)), bset.period)
 
 
 @dataclass(frozen=True)

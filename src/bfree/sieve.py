@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .admissibility import _residue_mask, _residues, minimal_translation_period
 from .core import BinaryWord, BSet, OdometerPoint
 from .errors import WindowTooLarge
 
@@ -23,7 +24,6 @@ __all__ = [
     "eta_window",
     "phi_window",
     "phi_sa_window",
-    "one_density",
 ]
 
 # Default memory budget for a single window, overridable per call.
@@ -85,7 +85,7 @@ class SAProfile:
         for sk, ak, b in zip(self.s, self.a, self.bset.moduli):
             if not 1 <= sk <= b - 1:
                 raise ValueError(f"s must lie in [1, {b - 1}], got {sk}")
-            rk = frozenset(x % b for x in ak)
+            rk = frozenset(_residues(_residue_mask(ak, (b,)), (b,))[0])
             if len(rk) != sk:
                 raise ValueError("a^k must contain exactly s_k distinct residues")
             reduced.append(rk)
@@ -101,13 +101,9 @@ class SAProfile:
     @property
     def odometer_moduli(self) -> tuple[int, ...]:
         """Minimal translation period of each a^k (divides b_k)."""
-        out = []
-        for ak, b in zip(self.a, self.bset.moduli):
-            for j in range(1, b + 1):
-                if b % j == 0 and frozenset((x - j) % b for x in ak) == ak:
-                    out.append(j)
-                    break
-        return tuple(out)
+        return tuple(
+            minimal_translation_period(ak, b) for ak, b in zip(self.a, self.bset.moduli)
+        )
 
     def free_density(self) -> Fraction:
         return math.prod(
@@ -139,8 +135,3 @@ def phi_sa_window(
         for ai in ak:
             _strike(bits, lo, ai - r, b)
     return BinaryWord(bits, lo)
-
-
-def one_density(word: BinaryWord) -> Fraction:
-    """Exact fraction of ones in a nonempty word."""
-    return word.density()

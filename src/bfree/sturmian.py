@@ -390,10 +390,6 @@ def minimal_subset_variant(
     """
     if any(primes[i] >= primes[i + 1] for i in range(len(primes) - 1)):
         raise ValueError("primes must be strictly increasing")
-    if hi <= lo:
-        raise ValueError("empty window")
-    if hi - lo > MAX_WINDOW_BITS:
-        raise WindowTooLarge(f"window of {hi - lo} bits exceeds budget")
     word = system.window(lo, hi)
     c = len(system.block)
     bits = word.bits.copy()
@@ -419,17 +415,16 @@ def close_alpha_block_containment(alpha, beta, n: int) -> bool:
     """
     a = RotationCoding.from_real(alpha) if not isinstance(alpha, RotationCoding) else alpha
     b = RotationCoding.from_real(beta) if not isinstance(beta, RotationCoding) else beta
-    quotients = []
-    num, den = a.alpha.numerator, a.alpha.denominator
+    # Tested prefix: quotients while the convergent denominator q is at
+    # most 10^6.  q grows at least like the Fibonacci numbers, so that
+    # prefix has at most 31 terms.
     q_prev, q = 0, 1
-    while num and q <= 10**6:
-        # tested prefix: quotients while the convergent denominator is small
-        t, r = divmod(den, num)
-        quotients.append(t)
+    for t in _continued_fraction(a.alpha, 31):
+        if q > 10**6:
+            break
+        if t > 2:
+            raise PreconditionUnmet("a partial quotient of alpha exceeds 2")
         q_prev, q = q, t * q + q_prev
-        num, den = r, num
-    if any(t > 2 for t in quotients):
-        raise PreconditionUnmet("a partial quotient of alpha exceeds 2")
     if abs(a.alpha - b.alpha) >= Fraction(1, 48 * n * n):
         raise PreconditionUnmet(f"|alpha - beta| is not below 1/(48*{n}^2)")
     return collect_blocks(b, n) <= collect_blocks(a, n)

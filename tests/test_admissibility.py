@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfree.admissibility import (
+    admissible_words,
     block_complexity,
     entropy_from_complexity,
     is_admissible,
@@ -18,25 +19,33 @@ from bfree.errors import Inadmissible, StateSpaceTooLarge
 from bfree.sieve import SAProfile, eta_window, phi_sa_window, phi_window
 
 
-def exhaustive_counts(moduli, n_max):
-    """Admissible-word counts by checking all 2^n words, vectorized.
+def exhaustive_admissible(moduli, n):
+    """Admissibility of all 2^n words by brute force, vectorized.
 
     Word i has bit j at position j.  A word covers residue class r mod b
     iff it intersects the mask of positions == r; admissible words cover
     no modulus completely.
     """
-    counts = []
-    for n in range(1, n_max + 1):
-        words = np.arange(1 << n, dtype=np.uint64)
-        ok = np.ones(1 << n, dtype=bool)
-        for b in moduli:
-            covered = np.ones(1 << n, dtype=bool)
-            for r in range(b):
-                mask = np.uint64(sum(1 << j for j in range(n) if j % b == r))
-                covered &= (words & mask) != 0
-            ok &= ~covered
-        counts.append(int(ok.sum()))
-    return counts
+    words = np.arange(1 << n, dtype=np.uint64)
+    ok = np.ones(1 << n, dtype=bool)
+    for b in moduli:
+        covered = np.ones(1 << n, dtype=bool)
+        for r in range(b):
+            mask = np.uint64(sum(1 << j for j in range(n) if j % b == r))
+            covered &= (words & mask) != 0
+        ok &= ~covered
+    return ok
+
+
+def exhaustive_counts(moduli, n_max):
+    """Admissible-word counts for n = 1..n_max by checking all 2^n words."""
+    return [int(exhaustive_admissible(moduli, n).sum()) for n in range(1, n_max + 1)]
+
+
+def exhaustive_words(moduli, n):
+    """Admissible words of length n as strings, lexicographically."""
+    ok = exhaustive_admissible(moduli, n)
+    return sorted(format(int(i), f"0{n}b")[::-1] for i in np.flatnonzero(ok))
 
 
 class TestIsAdmissible:
@@ -91,7 +100,11 @@ class TestBlockComplexity:
     def test_against_exhaustive(self, moduli):
         bset = validate_bset(moduli)
         n = 16
-        assert block_complexity(bset, n) == exhaustive_counts(bset.moduli, n)
+        counts = block_complexity(bset, n)
+        assert counts == exhaustive_counts(bset.moduli, n)
+        words = list(admissible_words(bset, n))
+        assert words == exhaustive_words(bset.moduli, n)
+        assert len(words) == counts[-1]
 
     @pytest.mark.parametrize("moduli", [[2], [2, 3], [3, 4]])
     def test_domination_lower_bound(self, moduli):

@@ -141,6 +141,13 @@ class TestFormatsAndErrors:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("window", ["7", "0:x", "1:2:3"])
+    def test_malformed_window_exit_2(self, capsys, window):
+        with pytest.raises(SystemExit) as exc:
+            main(["eta", "--bset", "2,3", "--window", window])
+        assert exc.value.code == 2
+        assert "--window" in capsys.readouterr().err
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eta", "--window", "0:6"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfree.core import BinaryWord, CylinderSpec, validate_bset
+from bfree.core import BinaryWord, CylinderSpec, OdometerPoint, validate_bset
 from bfree.errors import EmptySupport, LengthMismatch, TooManyZeros
 from bfree.measures import (
     GENERATOR_ID,
@@ -22,7 +23,20 @@ from bfree.measures import (
     sample_product,
     squeeze,
 )
-from bfree.sieve import SAProfile
+from bfree.sieve import SAProfile, phi_window
+
+
+def haar_cylinder(bset, entries):
+    """Exact Haar measure of a cylinder: the share of all odometer points
+    whose coding shows ``entries`` (position -> bit)."""
+    if not entries:
+        return Fraction(1)
+    lo, hi = min(entries), max(entries) + 1
+    hits = 0
+    for residues in itertools.product(*(range(b) for b in bset.moduli)):
+        bits = phi_window(OdometerPoint(bset, residues), lo, hi).bits
+        hits += all(bits[n - lo] == v for n, v in entries.items())
+    return Fraction(hits, bset.period)
 
 
 class TestMirskyCylinder:
@@ -52,6 +66,19 @@ class TestMixedCylinder:
         spec = CylinderSpec({n: 0 for n in range(25)})
         with pytest.raises(TooManyZeros):
             mixed_cylinder(validate_bset([2, 3]), spec)
+
+    @given(
+        st.sampled_from([(2, 3), (4, 9), (2, 3, 5)]),
+        st.sets(st.integers(-12, 24), max_size=5),
+        st.sets(st.integers(-12, 24), max_size=16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_haar_average(self, moduli, ones, zeros):
+        bset = validate_bset(moduli)
+        zeros = zeros - ones
+        entries = {**{n: 1 for n in ones}, **{n: 0 for n in zeros}}
+        assert mirsky_cylinder(bset, ones) == haar_cylinder(bset, {n: 1 for n in ones})
+        assert mixed_cylinder(bset, CylinderSpec(entries)) == haar_cylinder(bset, entries)
 
     def test_partition_of_unity(self):
         # cylinder probabilities over all bit patterns at fixed positions sum to 1

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bfree.core import BinaryWord, OdometerPoint, validate_bset
 from bfree.errors import EmptyWord, WindowTooLarge
-from bfree.sieve import SAProfile, eta_window, one_density, phi_sa_window, phi_window
+from bfree.sieve import SAProfile, eta_window, phi_sa_window, phi_window
 
 
 def brute_eta(moduli, lo, hi):
@@ -133,17 +133,17 @@ class TestPhiSaWindow:
         )
         for N in (1, 2, 5):
             w = phi_sa_window(prof, (0, 0), 0, N * 36)
-            assert one_density(w) == prof.free_density()
+            assert w.density() == prof.free_density()
 
 
 class TestOneDensity:
     def test_values(self):
-        assert one_density(BinaryWord.from_string("010001")) == Fraction(1, 3)
-        assert one_density(BinaryWord.from_string("0000")) == 0
-        assert one_density(BinaryWord.from_string("1111")) == 1
+        assert BinaryWord.from_string("010001").density() == Fraction(1, 3)
+        assert BinaryWord.from_string("0000").density() == 0
+        assert BinaryWord.from_string("1111").density() == 1
 
     def test_empty(self):
         import numpy as np
 
         with pytest.raises(EmptyWord):
-            one_density(BinaryWord(np.zeros(0, dtype=np.uint8)))
+            BinaryWord(np.zeros(0, dtype=np.uint8)).density()
