@@ -27,56 +27,25 @@ __all__ = [
     "minimal_translation_period",
 ]
 
-# Transfer-state counting keeps one hit-residue field per modulus; the
+# Transfer-state counting keeps one hit-residue subset per modulus; the
 # state space is bounded by prod 2^{b_k}, so cap sum b_k.
 MAX_STATE_BITS = 24
 
 
-def _layout(moduli: tuple[int, ...]) -> tuple[list[int], int, int]:
-    """Field offsets of a residue mask, and the two constants that test it.
+def _hit_residues(positions, moduli: tuple[int, ...]) -> list[frozenset[int]]:
+    """Residues hit by ``positions`` (a numpy array or any ints) mod each modulus.
 
-    Modulus k owns bits offsets[k] .. offsets[k] + b_k - 1, followed by one
-    spare bit that stays 0.  Adding ``low`` (a 1 at every field's first bit)
-    carries into a spare bit exactly when a field is full, so a mask hits
-    every residue of some modulus iff (mask + low) & spare is nonzero.
+    The cost follows the number of positions, never the size of a modulus.
     """
-    offsets = [sum(moduli[:k]) + k for k in range(len(moduli))]
-    low = sum(1 << off for off in offsets)
-    spare = sum(1 << (off + b) for off, b in zip(offsets, moduli))
-    return offsets, low, spare
-
-
-def _residue_mask(positions, moduli: tuple[int, ...]) -> int:
-    """Residues hit by ``positions`` modulo each modulus, as one bitmask.
-
-    Bit offsets[k] + r (see :func:`_layout`) is set iff some position is
-    r mod b_k.  ``positions`` is a numpy integer array, such as a word's
-    support, or an iterable of ints of any size.  The mask has sum(b_k) + K
-    bits, so its cost grows with the moduli as well as with the positions.
-    """
-    if not isinstance(positions, np.ndarray):
-        positions = np.array([int(n) for n in positions], dtype=object)
-    offsets, _, _ = _layout(moduli)
-    bits = np.zeros(sum(moduli) + len(moduli), dtype=np.uint8)
-    for off, b in zip(offsets, moduli):
-        bits[off + (positions % b).astype(np.intp)] = 1
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _fields(mask: int, moduli: tuple[int, ...]) -> list[int]:
-    """The per-modulus fields of a residue mask; bit r of field k is r mod b_k."""
-    offsets, _, _ = _layout(moduli)
-    return [(mask >> off) & ((1 << b) - 1) for off, b in zip(offsets, moduli)]
-
-
-def _residues(mask: int, moduli: tuple[int, ...]) -> list[list[int]]:
-    """Residues set in each field of ``mask``, ascending; ``~mask`` gives the missed ones."""
-    return [[r for r, c in enumerate(reversed(bin(f))) if c == "1"] for f in _fields(mask, moduli)]
+    if isinstance(positions, np.ndarray) and max(moduli, default=2) < 2**63:
+        return [frozenset((positions % b).tolist()) for b in moduli]
+    positions = [int(n) for n in positions]
+    return [frozenset(n % b for n in positions) for b in moduli]
 
 
 def residue_hits(word: BinaryWord, bset: BSet) -> list[set[int]]:
     """Residues modulo each b_k hit by the word's support."""
-    return [set(r) for r in _residues(_residue_mask(word.support, bset.moduli), bset.moduli)]
+    return [set(h) for h in _hit_residues(word.support, bset.moduli)]
 
 
 def is_admissible(word: BinaryWord, bset: BSet) -> bool:
@@ -85,34 +54,39 @@ def is_admissible(word: BinaryWord, bset: BSet) -> bool:
     Depends only on the bits, not the offset, and is hereditary: clearing
     ones never destroys admissibility.
     """
-    _, low, spare = _layout(bset.moduli)
-    return not (_residue_mask(word.support, bset.moduli) + low) & spare
+    return all(len(h) < b for h, b in zip(residue_hits(word, bset), bset.moduli))
 
 
 def block_complexity(bset: BSet, n_max: int) -> list[int]:
     """Exact counts p_1..p_{n_max} of admissible words of each length.
 
     Dynamic programming over equivalence classes of partial words: the
-    class of a prefix is its residue mask, the hit residues per modulus
+    class of a prefix is its hit residues per modulus, packed into one int
     (position residues are implicit in the step index).  Counts are exact
     big integers; reachable for n in the thousands at small moduli where
     naive 2^n enumeration is hopeless.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if sum(bset.moduli) > MAX_STATE_BITS:
+    mods = bset.moduli
+    if sum(mods) > MAX_STATE_BITS:
         raise StateSpaceTooLarge(
-            f"sum of moduli {sum(bset.moduli)} exceeds budget {MAX_STATE_BITS}"
+            f"sum of moduli {sum(mods)} exceeds budget {MAX_STATE_BITS}"
         )
-    _, low, spare = _layout(bset.moduli)
-    # position i inserts steps[i % period]
-    period = bset.period
-    steps = [_residue_mask([i], bset.moduli) for i in range(min(n_max, period))]
-    # State: residue mask with no full field.
+    # Bit offsets[k] + r of a state is set iff the prefix has a 1 at a position
+    # r mod b_k.  The bit after each field stays 0, so adding ``low`` (a 1 at
+    # each field's first bit) carries into ``spare`` iff some field is full.
+    offsets = [sum(mods[:k]) + k for k in range(len(mods))]
+    low = sum(1 << off for off in offsets)
+    spare = sum(1 << (off + b) for off, b in zip(offsets, mods))
+    steps = [
+        sum(1 << (off + r) for off, hit in zip(offsets, _hit_residues([i], mods)) for r in hit)
+        for i in range(min(n_max, bset.period))
+    ]
     states: dict[int, int] = {0: 1}
     counts: list[int] = []
     for i in range(n_max):
-        step = steps[i % period]
+        step = steps[i % len(steps)]
         # bit 0 at position i: state unchanged
         nxt = states.copy()
         for state, c in states.items():
@@ -130,27 +104,25 @@ def admissible_words(bset: BSet, n: int):
 
     Depth-first with exact pruning: a prefix is extendable iff its support
     already misses a residue mod every modulus (the all-zero extension
-    then works), so no dead branches are visited.
+    then works), so no dead branches are visited.  The search keeps its
+    own stack, so n is not limited by the recursion depth.
     """
-    _, low, spare = _layout(bset.moduli)
-    period = bset.period
-    steps = [_residue_mask([i], bset.moduli) for i in range(min(n, period))]
-    prefix: list[str] = []
-
-    def dfs(i, state):
+    mods = bset.moduli
+    # A state holds, per modulus, an int with bit r set iff the prefix has a
+    # 1 at a position r mod b_k; positions stay below n, so the ints stay small.
+    steps = [tuple(1 << r for hit in _hit_residues([i], mods) for r in hit) for i in range(n)]
+    word: list[str] = []
+    stack = [(0, "", tuple(0 for _ in mods))]  # (length, last symbol, state)
+    while stack:
+        i, bit, state = stack.pop()
+        word[i - len(bit):] = bit  # the symbol at position i - 1, if any
         if i == n:
-            yield "".join(prefix)
-            return
-        prefix.append("0")
-        yield from dfs(i + 1, state)
-        prefix.pop()
-        grown = state | steps[i % period]
-        if not (grown + low) & spare:
-            prefix.append("1")
-            yield from dfs(i + 1, grown)
-            prefix.pop()
-
-    yield from dfs(0, 0)
+            yield "".join(word)
+            continue
+        grown = tuple(f | s for f, s in zip(state, steps[i]))
+        if all(f.bit_count() < b for f, b in zip(grown, mods)):
+            stack.append((i + 1, "1", grown))
+        stack.append((i + 1, "0", state))  # on top, so "0" comes first
 
 
 def entropy_from_complexity(p: list[int]) -> list[float]:
@@ -175,8 +147,8 @@ def theta_window(word: BinaryWord, bset: BSet) -> list[frozenset[int] | None]:
     inadmissible at that modulus).  Ambiguity is reported, never guessed.
     """
     out: list[frozenset[int] | None] = []
-    mask = _residue_mask(word.support, bset.moduli)
-    for missing, b in zip(_residues(~mask, bset.moduli), bset.moduli):
+    for hits, b in zip(residue_hits(word, bset), bset.moduli):
+        missing = set(range(b)) - hits
         out.append(frozenset((-a) % b for a in missing) if missing else None)
     return out
 
@@ -185,16 +157,14 @@ def minimal_translation_period(residues: frozenset[int] | set[int], b: int) -> i
     """Smallest j >= 1, dividing b, with residues - j == residues (mod b).
 
     Only divisors of b need checking: translations fixing the set form a
-    subgroup of the cyclic group Z/bZ.  j = b always qualifies.
+    subgroup of the cyclic group Z/bZ, and a translation that maps the
+    finite set into itself maps it onto itself.
     """
-    field = _residue_mask(residues, (b,))
-    full = (1 << b) - 1
-    # rotating the field right by j subtracts j from every residue
-    return next(
-        j
-        for j in range(1, b + 1)
-        if b % j == 0 and ((field >> j) | (field << (b - j))) & full == field
-    )
+    (target,) = _hit_residues(residues, (b,))
+    for j in range(1, b + 1):
+        if b % j == 0 and all((r + j) % b in target for r in target):
+            return j
+    raise AssertionError("unreachable: j = b always fixes the set")
 
 
 @dataclass(frozen=True)
@@ -219,9 +189,8 @@ def spectrum_profile(word: BinaryWord, bset: BSet) -> SpectrumProfile:
     the offending modulus index otherwise.
     """
     entries = []
-    mask = _residue_mask(word.support, bset.moduli)
-    for k, (residues, b) in enumerate(zip(_residues(~mask, bset.moduli), bset.moduli)):
-        missing = frozenset(residues)
+    for k, (hits, b) in enumerate(zip(residue_hits(word, bset), bset.moduli)):
+        missing = frozenset(set(range(b)) - hits)
         if not missing:
             raise Inadmissible(k)
         entries.append((b, len(missing), missing, minimal_translation_period(missing, b)))

@@ -68,7 +68,9 @@ def htop_bfree(bset: BSet) -> EntropyReport:
 
     Equals prod(1 - 1/b_k) bits: the support density of the free set.
     """
-    exact = SAProfile.plain(bset).free_density()
+    exact = math.prod(
+        (Fraction(b - 1, b) for b in bset.moduli), start=Fraction(1)
+    )
     return EntropyReport(
         float(exact), exact, "prod(1 - 1/b_k)", {"moduli": list(bset.moduli)}, _tail_note(bset)
     )
@@ -87,7 +89,9 @@ def h_product_type(bset: BSet, p) -> EntropyReport:
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must lie strictly in (0, 1)")
-    density = SAProfile.plain(bset).free_density()
+    density = math.prod(
+        (Fraction(b - 1, b) for b in bset.moduli), start=Fraction(1)
+    )
     exact = density if p == Fraction(1, 2) else None
     return EntropyReport(
         binary_entropy(p) * float(density),

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .admissibility import _fields, _layout, _residue_mask
+from .admissibility import _hit_residues
 from .core import BinaryWord, BSet, CylinderSpec, OdometerPoint
 from .errors import EmptySupport, LengthMismatch, TooManyZeros
 from .sieve import SAProfile, phi_sa_window, phi_window
@@ -60,27 +60,23 @@ def mirsky_cylinder(bset: BSet, ones: Iterable[int]) -> Fraction:
 def mixed_cylinder(bset: BSet, spec: CylinderSpec) -> Fraction:
     """Probability of a cylinder with both 1- and 0-constraints.
 
-    Inclusion-exclusion over subsets S of the 0-positions: the sum of
-    (-1)^|S| times the Mirsky probability of ones | S.  2^|zeros| terms,
-    hence the cap :data:`MAX_ZEROS`.
+    Inclusion-exclusion over subsets S of the 0-positions sums (-1)^|S| times
+    the Mirsky probability of ones | S; 2^|zeros| terms, hence MAX_ZEROS.
     """
     zeros = sorted(spec.zeros)
     if len(zeros) > MAX_ZEROS:
         raise TooManyZeros(f"{len(zeros)} zero-positions exceed cap {MAX_ZEROS}")
     mods = bset.moduli
-    _, low, spare = _layout(mods)
-    steps = [_residue_mask([z], mods) for z in zeros]
+    steps = [_hit_residues([z], mods) for z in zeros]
 
-    def free(i: int, mask: int) -> int:
-        # classes of the joint period whose coding is 1 at the positions
-        # behind mask and 0 at zeros[i:]
-        if (mask + low) & spare:
-            return 0  # a covered modulus stays covered in every superset
-        if i == len(steps):
-            return math.prod(b - f.bit_count() for f, b in zip(_fields(mask, mods), mods))
-        return free(i + 1, mask) - free(i + 1, mask | steps[i])
+    def free(i: int, hits: list[frozenset[int]]) -> int:
+        # classes of the joint period coded 1 at the positions behind hits
+        # and 0 at zeros[i:]; a full modulus stays full in every superset
+        if i == len(steps) or any(len(h) == b for h, b in zip(hits, mods)):
+            return math.prod(b - len(h) for h, b in zip(hits, mods))
+        return free(i + 1, hits) - free(i + 1, [h | z for h, z in zip(hits, steps[i])])
 
-    return Fraction(free(0, _residue_mask(spec.ones, mods)), bset.period)
+    return Fraction(free(0, _hit_residues(spec.ones, mods)), bset.period)
 
 
 @dataclass(frozen=True)

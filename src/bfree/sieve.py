@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .admissibility import _residue_mask, _residues, minimal_translation_period
+from .admissibility import _hit_residues, minimal_translation_period
 from .core import BinaryWord, BSet, OdometerPoint
 from .errors import WindowTooLarge
 
@@ -85,7 +85,7 @@ class SAProfile:
         for sk, ak, b in zip(self.s, self.a, self.bset.moduli):
             if not 1 <= sk <= b - 1:
                 raise ValueError(f"s must lie in [1, {b - 1}], got {sk}")
-            rk = frozenset(_residues(_residue_mask(ak, (b,)), (b,))[0])
+            (rk,) = _hit_residues(ak, (b,))
             if len(rk) != sk:
                 raise ValueError("a^k must contain exactly s_k distinct residues")
             reduced.append(rk)

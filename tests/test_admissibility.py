@@ -11,6 +11,7 @@ from bfree.admissibility import (
     entropy_from_complexity,
     is_admissible,
     minimal_translation_period,
+    residue_hits,
     spectrum_profile,
     theta_window,
 )
@@ -57,6 +58,19 @@ class TestIsAdmissible:
 
     def test_empty_support(self):
         assert is_admissible(BinaryWord.from_string("0000"), validate_bset([2, 3, 5]))
+
+    def test_large_moduli(self):
+        # the cost follows the support, not the size of a modulus
+        bset = validate_bset([2, 10_000_000_019])
+        assert is_admissible(BinaryWord.from_string("101"), bset)
+        assert not is_admissible(BinaryWord.from_string("11"), bset)
+        word = BinaryWord.from_string("1011", 10**12)
+        support = {10**12, 10**12 + 2, 10**12 + 3}
+        b = bset.moduli[1]
+        assert residue_hits(word, bset) == [{0, 1}, {n % b for n in support}]
+        assert residue_hits(word, validate_bset([3, 10**25 + 13])) == [{0, 1}, support]
+        assert SAProfile(bset, (1, 3), ({0}, {1, 5, 10**20})).a[1] == {1, 5, 10**20 % b}
+        assert list(admissible_words(bset, 3)) == ["000", "001", "010", "100", "101"]
 
     @given(st.text(alphabet="01", min_size=1, max_size=30), st.data())
     @settings(max_examples=80)
@@ -105,6 +119,9 @@ class TestBlockComplexity:
         words = list(admissible_words(bset, n))
         assert words == exhaustive_words(bset.moduli, n)
         assert len(words) == counts[-1]
+
+    def test_words_deeper_than_recursion_limit(self):
+        assert next(admissible_words(validate_bset([2, 3]), 5000)) == "0" * 5000
 
     @pytest.mark.parametrize("moduli", [[2], [2, 3], [3, 4]])
     def test_domination_lower_bound(self, moduli):

@@ -49,6 +49,14 @@ class TestMirskyCylinder:
     def test_empty_set(self):
         assert mirsky_cylinder(validate_bset([4, 9, 25]), set()) == 1
 
+    def test_large_modulus(self):
+        bset = validate_bset([2, 10_000_000_019])
+        assert mirsky_cylinder(bset, {0}) == Fraction(5_000_000_009, 10_000_000_019)
+        assert mirsky_cylinder(bset, {0, 5, 10**30}) == 0
+        # zeros at odd positions are forced by a one at 0 (mod 2)
+        spec = CylinderSpec({0: 1, 1: 0, 7: 0})
+        assert mixed_cylinder(bset, spec) == Fraction(5_000_000_009, 10_000_000_019)
+
 
 class TestMixedCylinder:
     def test_reduces_to_mirsky(self):
