@@ -167,6 +167,19 @@ class BinaryWord:
         self.offset = int(offset)
 
     @classmethod
+    def _views(cls, rows, offsets) -> tuple["BinaryWord", ...]:
+        # Trusted constructor for package kernels: each row is already a
+        # read-only 1-D uint8 array of 0/1 and each offset an int, so both
+        # are taken as they are, without a copy or a scan.
+        new = object.__new__
+        words = []
+        for bits, offset in zip(rows, offsets):
+            word = new(cls)
+            word.bits, word.offset = bits, offset
+            words.append(word)
+        return tuple(words)
+
+    @classmethod
     def from_string(cls, text: str, offset: int = 0) -> "BinaryWord":
         return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"), offset)
 

@@ -11,11 +11,10 @@ import math
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
 from .admissibility import is_admissible
-from .core import BinaryWord, BSet
+from .core import BinaryWord, BSet, OdometerPoint
 from .errors import DivisiblePrecondition, NotCoprimeToC, SearchBudgetExceeded
+from .sieve import phi_window
 
 __all__ = [
     "includes",
@@ -150,15 +149,17 @@ def density_estimate(bset: BSet, c: int, r: int, horizon: int) -> float:
 
     Converges to prod(1 - 1/b_k) when gcd(c, b_k) = 1 for all k; exact at
     horizons that are multiples of the joint period up to O(1/horizon)
-    edge effects.
+    edge effects.  With c invertible mod b_k, b_k divides s*c + r for
+    exactly one class s == -r c^-1 (mod b_k), so the count is a sieve
+    over s in exact integer arithmetic: no product s*c + r is formed, and
+    c, r and the moduli may have any size.  Raises :class:`WindowTooLarge`
+    before allocating when horizon exceeds ``sieve.MAX_WINDOW_BITS``.
     """
     for b in bset.moduli:
         if math.gcd(c, b) != 1:
             raise NotCoprimeToC(f"gcd({c}, {b}) != 1")
     if horizon < bset.period:
         raise ValueError("horizon must be at least the joint period")
-    n = np.arange(1, horizon + 1, dtype=np.int64) * c + r
-    free = np.ones(horizon, dtype=bool)
-    for b in bset.moduli:
-        free &= n % b != 0
-    return float(free.mean())
+    # phi_window strikes s == -omega(k), i.e. omega(k) = r c^-1 (mod b_k)
+    omega = OdometerPoint(bset, tuple(r * pow(c, -1, b) for b in bset.moduli))
+    return phi_window(omega, 1, horizon + 1).ones / horizon

@@ -5,10 +5,18 @@ under the windowed coding, optionally convolved with an independent
 Bernoulli mask (keep each 1 with probability p).  p = 1 gives the plain
 push-forward; p = 1/2 gives the measure of maximal entropy.
 
-RNG contract: each sample's stream comes from a counter-based generator
-keyed by (seed, sample index), so batches are order-independent and
-chunk-parallelizable.  The generator identifier is recorded in batch
-metadata.
+RNG contract v2 (``GENERATOR_ID = "philox4x64-chunked-v2"``, recorded in
+batch metadata): samples are split into chunks of CHUNK = 1024.  Chunk c
+draws from the counter-based generator Philox(key=(seed << 64) | c)
+(Salmon et al., SC'11), a pure function of (seed, c), so chunks are
+order-independent and can run in parallel.  A chunk's stream first
+gives the odometer points of all CHUNK slots, one
+``integers(0, m, size=CHUNK)`` per odometer modulus m in modulus order,
+then, when p < 1, the mask: ``random()`` doubles for the chunk's
+samples in sample order, position by position, and a 1 is kept iff its
+double is < p.  Points are always drawn for whole chunks, so a batch of
+count k is the first k samples of any larger batch with the same seed
+and window.
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .admissibility import _hit_residues
-from .core import BinaryWord, BSet, CylinderSpec, OdometerPoint
+from .core import BinaryWord, BSet, CylinderSpec
 from .errors import EmptySupport, LengthMismatch, TooManyZeros
-from .sieve import SAProfile, phi_sa_window, phi_window
+from .sieve import SAProfile, _strike_rows, _window
 
 __all__ = [
     "GENERATOR_ID",
@@ -42,7 +50,14 @@ __all__ = [
     "empirical_block_distribution",
 ]
 
-GENERATOR_ID = "philox4x64-keyed-v1"
+GENERATOR_ID = "philox4x64-chunked-v2"
+
+# Samples per Philox stream; part of the RNG contract.
+CHUNK = 1024
+
+# Mask doubles drawn per call, which bounds the temporary buffer; any split
+# reads the same stream, so it is not part of the contract.
+MASK_DRAW = 1 << 16
 
 # Inclusion-exclusion sums 2^|zeros| terms; cap the zero-positions.
 MAX_ZEROS = 24
@@ -95,12 +110,18 @@ class ProductMeasureSpec:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Sampled windows plus everything needed to regenerate them."""
+    """Sampled windows plus everything needed to regenerate them.
+
+    ``omegas`` holds the (count, K) odometer point behind each sampled
+    word (coordinates mod the sampled odometer's moduli); it is ``None``
+    for batches not drawn by a sampler.
+    """
 
     words: tuple[BinaryWord, ...]
     seed: int
     spec: dict = field(default_factory=dict)
     generator: str = GENERATOR_ID
+    omegas: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def metadata_json(self) -> str:
         return json.dumps(
@@ -115,30 +136,48 @@ class SampleBatch:
         return buf.getvalue()
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    # Pure function of (seed, index): the Philox key is the 128-bit
-    # concatenation seed || index.
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(index)))
+def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: int, seed: int):
+    """Words and odometer points of ``count`` masked codings over [lo, hi).
 
-
-def _mask(word: BinaryWord, p: Fraction, rng: np.random.Generator) -> BinaryWord:
-    if p == 1:
-        return word
-    keep = rng.random(len(word)) < float(p)
-    return BinaryWord(word.bits & keep.astype(np.uint8), word.offset)
+    Chunk c of CHUNK samples reads one Philox stream keyed by
+    (seed << 64) | c: first the coordinates of all CHUNK slots, one
+    ``integers(0, m, CHUNK)`` per odometer modulus m, then, when p < 1,
+    the mask doubles of the chunk's samples in sample order.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    block = _window(lo, hi, None, rows=count)
+    rngs = [
+        np.random.Generator(np.random.Philox(key=(int(seed) << 64) | c))
+        for c in range(-(-count // CHUNK))
+    ]
+    omegas = np.empty((len(rngs) * CHUNK, len(draw_moduli)), dtype=np.int64)
+    for c, rng in enumerate(rngs):
+        for k, m in enumerate(draw_moduli):
+            omegas[c * CHUNK : (c + 1) * CHUNK, k] = rng.integers(0, m, size=CHUNK)
+    omegas = omegas[:count]
+    omegas.setflags(write=False)
+    _strike_rows(block, lo, moduli, classes, omegas)
+    if p != 1:
+        flat, length = block.reshape(-1), hi - lo
+        for c, rng in enumerate(rngs):
+            end = min(count, (c + 1) * CHUNK) * length
+            for start in range(c * CHUNK * length, end, MASK_DRAW):
+                stop = min(start + MASK_DRAW, end)
+                flat[start:stop] &= rng.random(stop - start) < float(p)
+    block.setflags(write=False)
+    return BinaryWord._views(block, [int(lo)] * count), omegas
 
 
 def sample_mirsky(bset: BSet, lo: int, hi: int, count: int, seed: int) -> SampleBatch:
     """Windows of odometer codings with coordinatewise-uniform base points."""
-    words = []
-    for i in range(count):
-        rng = _rng(seed, i)
-        omega = OdometerPoint(bset, tuple(int(rng.integers(0, b)) for b in bset.moduli))
-        words.append(phi_window(omega, lo, hi))
+    mods = bset.moduli
+    words, omegas = _sample(mods, [(0,)] * len(mods), mods, Fraction(1), lo, hi, count, seed)
     return SampleBatch(
-        tuple(words),
+        words,
         seed,
-        {"measure": "mirsky", "moduli": list(bset.moduli), "window": [lo, hi], "count": count},
+        {"measure": "mirsky", "moduli": list(mods), "window": [lo, hi], "count": count},
+        omegas=omegas,
     )
 
 
@@ -147,26 +186,23 @@ def sample_product(
 ) -> SampleBatch:
     """Odometer-coding windows with each 1 kept independently w.p. p.
 
-    The coordinates of the kept mask are drawn after the odometer
-    residues from the same per-sample stream; with p = 1 the draw is
-    skipped and the batch coincides with :func:`sample_mirsky`.
+    The mask is drawn after the odometer points of the chunk, from the
+    same stream; with p = 1 the draw is skipped and the batch coincides
+    with :func:`sample_mirsky`.
     """
-    bset = spec.bset
-    words = []
-    for i in range(count):
-        rng = _rng(seed, i)
-        omega = OdometerPoint(bset, tuple(int(rng.integers(0, b)) for b in bset.moduli))
-        words.append(_mask(phi_window(omega, lo, hi), spec.p, rng))
+    mods = spec.bset.moduli
+    words, omegas = _sample(mods, [(0,)] * len(mods), mods, spec.p, lo, hi, count, seed)
     return SampleBatch(
-        tuple(words),
+        words,
         seed,
         {
             "measure": "product",
-            "moduli": list(bset.moduli),
+            "moduli": list(mods),
             "p": str(spec.p),
             "window": [lo, hi],
             "count": count,
         },
+        omegas=omegas,
     )
 
 
@@ -178,28 +214,22 @@ def sample_generalized(
     The base point is uniform on the profile's own odometer (residues mod
     the minimal periods b'_k).
     """
-    p = Fraction(p)
-    if not 0 < p <= 1:
-        raise ValueError("p must lie in (0, 1]")
-    odo = profile.odometer_moduli
-    words = []
-    for i in range(count):
-        rng = _rng(seed, i)
-        residues = tuple(int(rng.integers(0, m)) for m in odo)
-        word = phi_sa_window(profile, residues, lo, hi)
-        words.append(_mask(word, p, rng))
+    p = ProductMeasureSpec(profile.bset, p).p
+    mods = profile.bset.moduli
+    words, omegas = _sample(mods, profile.a, profile.odometer_moduli, p, lo, hi, count, seed)
     return SampleBatch(
-        tuple(words),
+        words,
         seed,
         {
             "measure": "generalized",
-            "moduli": list(profile.bset.moduli),
+            "moduli": list(mods),
             "s": list(profile.s),
             "a": [sorted(ak) for ak in profile.a],
             "p": str(p),
             "window": [lo, hi],
             "count": count,
         },
+        omegas=omegas,
     )
 
 
@@ -211,13 +241,19 @@ def mask_batch(base: SampleBatch, kappa: SampleBatch) -> SampleBatch:
     """
     if len(base.words) != len(kappa.words):
         raise LengthMismatch("batches must have the same number of words")
-    words = []
     for w, m in zip(base.words, kappa.words):
         if w.offset != m.offset or len(w) != len(m):
             raise LengthMismatch("batch windows must be aligned")
-        words.append(BinaryWord(w.bits & m.bits, w.offset))
+    words: tuple[BinaryWord, ...] = ()
+    if base.words:
+        bits = np.concatenate([w.bits for w in base.words])
+        bits &= np.concatenate([m.bits for m in kappa.words])
+        bits.setflags(write=False)
+        ends = np.cumsum([w.bits.size for w in base.words]).tolist()
+        rows = [bits[end - w.bits.size : end] for w, end in zip(base.words, ends)]
+        words = BinaryWord._views(rows, [w.offset for w in base.words])
     return SampleBatch(
-        tuple(words),
+        words,
         base.seed,
         {"measure": "masked", "base": base.spec, "mask": kappa.spec},
     )
@@ -261,14 +297,25 @@ def empirical_block_distribution(batch: SampleBatch, n: int) -> dict[str, float]
     """Frequencies of all n-sub-words across every word and position."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    counts: dict[str, int] = {}
-    total = 0
+    by_length: dict[int, list[np.ndarray]] = {}
     for w in batch.words:
         if n > len(w):
             raise ValueError("n exceeds the window length")
-        text = w.to_string()
-        for i in range(len(w) - n + 1):
-            block = text[i : i + n]
-            counts[block] = counts.get(block, 0) + 1
-            total += 1
+        by_length.setdefault(len(w), []).append(w.bits)
+    counts: dict[str, int] = {}
+    for rows in by_length.values():
+        block = np.stack(rows)
+        starts = block.shape[1] - n + 1
+        # integer code of the window at each start; Python ints past 62 bits
+        bits = block.astype(np.int64 if n < 63 else object)
+        code = np.zeros((len(rows), starts), dtype=bits.dtype)
+        for j in range(n):
+            code <<= 1
+            code |= bits[:, j : j + starts]
+        _, first, freqs = np.unique(code.ravel(), return_index=True, return_counts=True)
+        for i, c in zip(first.tolist(), freqs.tolist()):
+            row, start = divmod(i, starts)
+            key = (block[row, start : start + n] + ord("0")).tobytes().decode("ascii")
+            counts[key] = counts.get(key, 0) + c
+    total = sum(counts.values())
     return {block: c / total for block, c in counts.items()}

@@ -2,7 +2,9 @@
 
 Windows are produced by a segmented residue sieve: allocate the window as
 ones, then strike each forbidden residue class by strided assignment.
-Work is O(sum window/b_k), so 10^8-size windows stay feasible.
+Work is O(sum window/b_k), so 10^8-size windows stay feasible.  One
+kernel strikes a whole (rows, L) block of codings at once; a single
+window is its one-row case.
 """
 
 from __future__ import annotations
@@ -30,27 +32,48 @@ __all__ = [
 MAX_WINDOW_BITS = 2**30
 
 
-def _window(lo: int, hi: int, max_bits) -> np.ndarray:
+def _window(lo: int, hi: int, max_bits, rows: int = 1) -> np.ndarray:
+    # A (rows, hi - lo) block of ones, refused before allocation past the budget.
     if hi <= lo:
         raise ValueError(f"empty window [{lo}, {hi})")
     budget = MAX_WINDOW_BITS if max_bits is None else max_bits
-    if hi - lo > budget:
-        raise WindowTooLarge(f"window of {hi - lo} bits exceeds budget {budget}")
-    return np.ones(hi - lo, dtype=np.uint8)
+    if rows * (hi - lo) > budget:
+        raise WindowTooLarge(f"{rows} x {hi - lo} window bits exceed budget {budget}")
+    return np.ones((rows, hi - lo), dtype=np.uint8)
 
 
-def _strike(bits: np.ndarray, lo: int, residue: int, modulus: int) -> None:
-    # Zero every index n in [lo, lo+len) with n == residue (mod modulus).
-    start = (residue - lo) % modulus
-    bits[start::modulus] = 0
+def _strike_rows(block: np.ndarray, lo: int, moduli, classes, omegas: np.ndarray) -> None:
+    """Zero ``block[i, n - lo]`` wherever (omegas[i, k] + n) mod b_k lies in classes[k].
+
+    ``block`` is a (rows, L) uint8 array of ones over [lo, lo + L) and
+    ``omegas`` a (rows, K) integer array of odometer coordinates.  Per
+    modulus the rows are grouped by coordinate, and each (group, class)
+    is one strided assignment, so the work is O(rows * sum_k s_k L / b_k)
+    and never O(rows * L * K).
+    """
+    for k, (b, ak) in enumerate(zip(moduli, classes)):
+        col = omegas[:, k]
+        order = np.argsort(col, kind="stable")
+        ranked = col[order]
+        cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(col)]
+        for start, stop in zip(cuts, cuts[1:]):
+            rows = slice(None) if stop - start == len(col) else order[start:stop]
+            r = int(ranked[start])
+            for a in ak:
+                block[rows, (a - r - lo) % b :: b] = 0
+
+
+def _coding(moduli, classes, residues, lo: int, hi: int, max_bits) -> BinaryWord:
+    # The one-row case of the kernel; object dtype keeps coordinates of any size.
+    block = _window(lo, hi, max_bits)
+    _strike_rows(block, lo, moduli, classes, np.array([residues], dtype=object))
+    block.setflags(write=False)
+    return BinaryWord._views(block, [int(lo)])[0]
 
 
 def eta_window(bset: BSet, lo: int, hi: int, *, max_bits=None) -> BinaryWord:
     """Indicator of integers in [lo, hi) divisible by no modulus."""
-    bits = _window(lo, hi, max_bits)
-    for b in bset.moduli:
-        _strike(bits, lo, 0, b)
-    return BinaryWord(bits, lo)
+    return _coding(bset.moduli, [(0,)] * len(bset), [0] * len(bset), lo, hi, max_bits)
 
 
 def phi_window(omega: OdometerPoint, lo: int, hi: int, *, max_bits=None) -> BinaryWord:
@@ -59,10 +82,8 @@ def phi_window(omega: OdometerPoint, lo: int, hi: int, *, max_bits=None) -> Bina
     Position n carries 1 iff omega(k) + n is nonzero mod b_k for every k.
     The all-zero point reproduces :func:`eta_window`.
     """
-    bits = _window(lo, hi, max_bits)
-    for r, b in zip(omega.residues, omega.bset.moduli):
-        _strike(bits, lo, -r, b)
-    return BinaryWord(bits, lo)
+    mods = omega.bset.moduli
+    return _coding(mods, [(0,)] * len(mods), omega.residues, lo, hi, max_bits)
 
 
 @dataclass(frozen=True)
@@ -130,8 +151,4 @@ def phi_sa_window(
     residues = omega.residues if isinstance(omega, OdometerPoint) else tuple(omega)
     if len(residues) != len(profile.bset):
         raise ValueError("one odometer coordinate per modulus required")
-    bits = _window(lo, hi, max_bits)
-    for r, ak, b in zip(residues, profile.a, profile.bset.moduli):
-        for ai in ak:
-            _strike(bits, lo, ai - r, b)
-    return BinaryWord(bits, lo)
+    return _coding(profile.bset.moduli, profile.a, residues, lo, hi, max_bits)

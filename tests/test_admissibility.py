@@ -208,6 +208,25 @@ class TestMinimalTranslationPeriod:
         assert minimal_translation_period(residues, b) == brute
         assert b % brute == 0
 
+    @given(st.integers(1, 60).flatmap(lambda b: st.tuples(st.just(b), st.sets(st.integers(-b, 2 * b)))))
+    @settings(max_examples=200)
+    def test_against_brute_force_loop(self, case):
+        b, residues = case
+        target = {r % b for r in residues}
+        brute = next(
+            j for j in range(1, b + 1) if b % j == 0 and all((r + j) % b in target for r in target)
+        )
+        assert minimal_translation_period(residues, b) == brute
+
+    def test_large_modulus(self):
+        b = 10**10 + 19
+        assert minimal_translation_period({0, 1}, b) == b
+        assert minimal_translation_period(set(), b) == 1
+        # b + 1 = 10**10 + 20 is a multiple of 10
+        half = (b + 1) // 2
+        assert minimal_translation_period({3, 3 + half}, b + 1) == half
+        assert minimal_translation_period({3 + k * (b + 1) // 10 for k in range(10)}, b + 1) == (b + 1) // 10
+
 
 class TestSpectrumProfile:
     def test_missing_progression(self):

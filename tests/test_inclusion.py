@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bfree.admissibility import is_admissible
 from bfree.core import BSet, validate_bset
-from bfree.errors import DivisiblePrecondition, NotCoprimeToC
+from bfree.errors import DivisiblePrecondition, NotCoprimeToC, WindowTooLarge
 from bfree.inclusion import (
     construct_admissible,
     density_estimate,
@@ -16,6 +16,7 @@ from bfree.inclusion import (
     inclusion_witness,
     word_level_includes,
 )
+from bfree.sieve import MAX_WINDOW_BITS
 
 _POOL = [2, 3, 5, 7, 11, 4, 9, 25, 8, 27]
 
@@ -164,3 +165,33 @@ class TestDensityEstimate:
     def test_not_coprime(self):
         with pytest.raises(NotCoprimeToC):
             density_estimate(validate_bset([2, 3]), 4, 0, 100)
+
+    @staticmethod
+    def _exact(moduli, c, r, horizon):
+        free = sum(all((s * c + r) % b for b in moduli) for s in range(1, horizon + 1))
+        return free / horizon
+
+    def test_no_int64_wrap(self):
+        # s * c + r passes 2^63 from s = 93 on
+        bset = validate_bset((9, 25))
+        est = density_estimate(bset, 10**17 + 1, 5, 2250)
+        assert est == self._exact((9, 25), 10**17 + 1, 5, 2250) == 1920 / 2250
+
+    def test_huge_c_and_r(self):
+        c, r = 2**64 + 1, 3 * 2**70 + 2
+        assert density_estimate(validate_bset((9, 25)), c, r, 2250) == self._exact((9, 25), c, r, 2250)
+        assert density_estimate(validate_bset((7,)), -c, -r, 50) == self._exact((7,), -c, -r, 50)
+
+    def test_horizon_budget(self):
+        with pytest.raises(WindowTooLarge):
+            density_estimate(validate_bset([2, 3]), 5, 0, MAX_WINDOW_BITS + 1)
+        with pytest.raises(WindowTooLarge):
+            density_estimate(validate_bset([2, 3]), 5, 0, 10**15)
+
+    @given(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30), st.integers(30, 200))
+    @settings(max_examples=50)
+    def test_matches_direct_count(self, c, r, horizon):
+        moduli = (2, 3, 5)
+        if any(math.gcd(c, b) != 1 for b in moduli):
+            return
+        assert density_estimate(validate_bset(moduli), c, r, horizon) == self._exact(moduli, c, r, horizon)

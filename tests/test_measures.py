@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfree.core import BinaryWord, CylinderSpec, OdometerPoint, validate_bset
-from bfree.errors import EmptySupport, LengthMismatch, TooManyZeros
+from bfree.errors import EmptySupport, LengthMismatch, TooManyZeros, WindowTooLarge
 from bfree.measures import (
+    CHUNK,
     GENERATOR_ID,
     ProductMeasureSpec,
+    SampleBatch,
     embed,
     empirical_block_distribution,
     mask_batch,
@@ -23,7 +25,7 @@ from bfree.measures import (
     sample_product,
     squeeze,
 )
-from bfree.sieve import SAProfile, phi_window
+from bfree.sieve import MAX_WINDOW_BITS, SAProfile, phi_sa_window, phi_window
 
 
 def haar_cylinder(bset, entries):
@@ -37,6 +39,16 @@ def haar_cylinder(bset, entries):
         bits = phi_window(OdometerPoint(bset, residues), lo, hi).bits
         hits += all(bits[n - lo] == v for n, v in entries.items())
     return Fraction(hits, bset.period)
+
+
+def sliced_frequencies(texts, n):
+    """Block frequencies by slicing strings: the reference for the integer codes."""
+    counts: dict[str, int] = {}
+    for t in texts:
+        for i in range(len(t) - n + 1):
+            counts[t[i : i + n]] = counts.get(t[i : i + n], 0) + 1
+    total = sum(counts.values())
+    return {b: c / total for b, c in counts.items()}
 
 
 class TestMirskyCylinder:
@@ -175,6 +187,77 @@ class TestSamplers:
         assert len(lines) == 3
 
 
+class TestSamplerContractV2:
+    def test_words_are_codings_of_their_omegas(self):
+        bset = validate_bset([4, 9, 25])
+        batch = sample_mirsky(bset, -7, 40, 300, seed=21)
+        assert batch.omegas.shape == (300, 3)
+        for w, omega in zip(batch.words, batch.omegas.tolist()):
+            assert w == phi_window(OdometerPoint(bset, omega), -7, 40)
+        masked = sample_product(ProductMeasureSpec(bset, Fraction(1, 3)), -7, 40, 300, seed=21)
+        assert np.array_equal(masked.omegas, batch.omegas)
+        assert all(m.dominated_by(w) for m, w in zip(masked.words, batch.words))
+        assert sum(m.ones for m in masked.words) < sum(w.ones for w in batch.words)
+
+    def test_generalized_words_are_codings_of_their_omegas(self):
+        prof = SAProfile(validate_bset([4, 9]), (2, 3), (frozenset({0, 2}), frozenset({1, 4, 7})))
+        batch = sample_generalized(prof, Fraction(1), 5, 41, 200, seed=23)
+        # coordinates live on the profile's own odometer, Z/2 x Z/3
+        assert batch.omegas.max(axis=0).tolist() == [1, 2]
+        for w, omega in zip(batch.words, batch.omegas.tolist()):
+            assert w == phi_sa_window(prof, omega, 5, 41)
+        masked = sample_generalized(prof, Fraction(1, 2), 5, 41, 200, seed=23)
+        assert all(m.dominated_by(w) for m, w in zip(masked.words, batch.words))
+
+    def test_stream_layout(self):
+        # the documented contract, replayed with numpy's Philox directly
+        bset, p, lo, hi, seed = validate_bset([2, 3]), Fraction(1, 3), 4, 9, 77
+        batch = sample_product(ProductMeasureSpec(bset, p), lo, hi, CHUNK + 2, seed)
+        for c, first, stop in ((0, 0, CHUNK), (1, CHUNK, CHUNK + 2)):
+            rng = np.random.Generator(np.random.Philox(key=(seed << 64) | c))
+            points = np.stack([rng.integers(0, m, size=CHUNK) for m in (2, 3)], axis=1)
+            assert np.array_equal(batch.omegas[first:stop], points[: stop - first])
+            keep = rng.random((stop - first, hi - lo)) < float(p)
+            for i, omega in zip(range(first, stop), points.tolist()):
+                coding = phi_window(OdometerPoint(bset, omega), lo, hi).bits
+                assert np.array_equal(batch.words[i].bits, coding & keep[i - first])
+
+    def test_prefix_stability_across_chunks(self):
+        spec = ProductMeasureSpec(validate_bset([2, 3, 5]), Fraction(1, 2))
+        full = sample_product(spec, 3, 20, 4 * CHUNK, seed=31)
+        for count in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+            part = sample_product(spec, 3, 20, count, seed=31)
+            assert part.words == full.words[:count]
+            assert np.array_equal(part.omegas, full.omegas[:count])
+
+    def test_large_offset(self):
+        bset = validate_bset([4, 9])
+        lo = 10**18
+        batch = sample_mirsky(bset, lo, lo + 30, 50, seed=2)
+        for w, omega in zip(batch.words, batch.omegas.tolist()):
+            assert w.offset == lo
+            assert w == phi_window(OdometerPoint(bset, omega), lo, lo + 30)
+
+    def test_budget_refused_before_allocation(self):
+        bset = validate_bset([2, 3])
+        with pytest.raises(WindowTooLarge):
+            sample_mirsky(bset, 0, 2**16, MAX_WINDOW_BITS // 2**16 + 1, seed=0)
+        with pytest.raises(WindowTooLarge):
+            sample_product(ProductMeasureSpec(bset, Fraction(1, 2)), 0, 2, 10**12, seed=0)
+
+    def test_words_are_read_only(self):
+        batch = sample_mirsky(validate_bset([2, 3]), 0, 8, 4, seed=1)
+        with pytest.raises(ValueError):
+            batch.words[0].bits[0] = 1
+        with pytest.raises(ValueError):
+            batch.omegas[0, 0] = 1
+
+    def test_generator_in_metadata(self):
+        batch = sample_product(ProductMeasureSpec(validate_bset([2])), 0, 2, 1, seed=3)
+        assert GENERATOR_ID == "philox4x64-chunked-v2"
+        assert json.loads(batch.metadata_json())["generator"] == GENERATOR_ID
+
+
 class TestMaskBatch:
     def test_coordinatewise_product(self):
         bset = validate_bset([2, 3])
@@ -191,6 +274,14 @@ class TestMaskBatch:
                 sample_mirsky(bset, 0, 6, 5, seed=1),
                 sample_mirsky(bset, 0, 6, 6, seed=1),
             )
+
+    def test_ragged_batches(self):
+        words = tuple(BinaryWord.from_string(t, o) for t, o in (("1101", 0), ("011", 5)))
+        masks = tuple(BinaryWord.from_string(t, o) for t, o in (("0111", 0), ("110", 5)))
+        out = mask_batch(SampleBatch(words, 0), SampleBatch(masks, 0))
+        assert [w.to_string() for w in out.words] == ["0101", "010"]
+        assert [w.offset for w in out.words] == [0, 5]
+        assert out.omegas is None
 
 
 class TestSqueezeEmbed:
@@ -284,3 +375,25 @@ class TestEmpiricalBlockDistribution:
         )
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(hits / n - expected) < 4 * sigma
+
+    @given(
+        st.lists(st.text(alphabet="01", min_size=1, max_size=24), min_size=1, max_size=6),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=100)
+    def test_matches_string_slicing(self, texts, n):
+        batch = SampleBatch(tuple(BinaryWord.from_string(t) for t in texts), 0)
+        if n > min(map(len, texts)):
+            with pytest.raises(ValueError):
+                empirical_block_distribution(batch, n)
+            return
+        assert empirical_block_distribution(batch, n) == sliced_frequencies(texts, n)
+
+    def test_blocks_longer_than_an_int64(self):
+        rng = np.random.default_rng(8)
+        texts = ["".join(map(str, rng.integers(0, 2, size))) for size in (66, 70, 70, 90)]
+        texts.append(texts[1])  # repeated blocks must add up
+        texts += ["0" + texts[1], "1" + texts[1]]  # their first 66-blocks differ in the first bit only
+        batch = SampleBatch(tuple(BinaryWord.from_string(t) for t in texts), 0)
+        for n in (62, 63, 64, 66):
+            assert empirical_block_distribution(batch, n) == sliced_frequencies(texts, n)
