@@ -16,7 +16,6 @@ from .core import (
     CylinderSpec,
     OdometerPoint,
     crt_free_count,
-    crt_free_count_sieve,
     squarefree_family,
     validate_bset,
 )

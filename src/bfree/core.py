@@ -25,7 +25,6 @@ __all__ = [
     "validate_bset",
     "squarefree_family",
     "crt_free_count",
-    "crt_free_count_sieve",
 ]
 
 
@@ -113,15 +112,6 @@ def crt_free_count(bset: BSet) -> int:
     Equals prod(b_k - 1) by the Chinese Remainder Theorem.
     """
     return math.prod(b - 1 for b in bset.moduli)
-
-
-def crt_free_count_sieve(bset: BSet) -> int:
-    """Independent sieve count over [0, period); used as an oracle."""
-    period = bset.period
-    free = np.ones(period, dtype=bool)
-    for b in bset.moduli:
-        free[::b] = False
-    return int(free.sum())
 
 
 @dataclass(frozen=True)

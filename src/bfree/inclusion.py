@@ -1,8 +1,11 @@
 """Subshift inclusion and equality from moduli arithmetic, with witnesses.
 
 The arithmetic criterion: the free subshift of A is contained in that of B
-iff every modulus of B is divisible by some modulus of A.  A word-level
-oracle confirms the verdict by bounded search for a separating word.
+iff every modulus of B is divisible by some modulus of A.  Verdicts and
+witnesses come from that criterion alone.  :func:`word_level_includes`
+decides the same question by a bounded search for a separating word,
+without divisibility; it is an independent oracle that the tests check
+the criterion against, and no other function here calls it.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from .admissibility import is_admissible
+from . import sieve
 from .core import BinaryWord, BSet, OdometerPoint
-from .errors import DivisiblePrecondition, NotCoprimeToC, SearchBudgetExceeded
+from .errors import DivisiblePrecondition, NotCoprimeToC, SearchBudgetExceeded, WindowTooLarge
 from .sieve import phi_window
 
 __all__ = [
@@ -45,9 +48,7 @@ def equality(bset_a: BSet, bset_b: BSet) -> bool:
     Coprimality within each set forces mutual inclusion to collapse to
     literal equality.
     """
-    same = bset_a.moduli == bset_b.moduli
-    assert same == (includes(bset_a, bset_b) and includes(bset_b, bset_a))
-    return same
+    return bset_a.moduli == bset_b.moduli
 
 
 def construct_admissible(small_moduli, b_prime: int) -> set[int]:
@@ -55,7 +56,10 @@ def construct_admissible(small_moduli, b_prime: int) -> set[int]:
 
     A = {i + e_i * b' : i = 1..b'} with e_i the product of the small moduli
     not dividing i (1 if all divide i).  Every small modulus misses residue
-    0 on A, while A mod b' runs through all of Z/b'.
+    0 on A, while A mod b' runs through all of Z/b'.  The largest element
+    is b' * (1 + prod small), so the word over [0, max + 1) has length
+    b' * (1 + prod small) + 1; :class:`WindowTooLarge` is raised before
+    the loop when that length exceeds ``sieve.MAX_WINDOW_BITS``.
     """
     small = tuple(int(m) for m in small_moduli)
     for i in range(len(small)):
@@ -68,6 +72,9 @@ def construct_admissible(small_moduli, b_prime: int) -> set[int]:
     for m in small:
         if b_prime % m == 0:
             raise DivisiblePrecondition(f"{m} divides {b_prime}")
+    length = b_prime * (1 + math.prod(small)) + 1
+    if length > sieve.MAX_WINDOW_BITS:
+        raise WindowTooLarge(f"witness length {length} exceeds budget {sieve.MAX_WINDOW_BITS}")
     out = set()
     for i in range(1, b_prime + 1):
         e = math.prod(m for m in small if i % m != 0)
@@ -120,28 +127,20 @@ def word_level_includes(bset_a: BSet, bset_b: BSet) -> bool:
 def inclusion_witness(bset_a: BSet, bset_b: BSet) -> BinaryWord | None:
     """A word admissible for A but not for B, or None when A is included.
 
-    The witness support is the explicit b'-covering construction of
-    :func:`construct_admissible` at the first B-modulus no A-modulus
-    divides; its length stays under 4 times the product of all moduli.
-    When the arithmetic verdict is inclusion, the bounded oracle confirms
-    no witness exists before returning None.
+    None comes straight from the divisibility criterion of :func:`includes`.
+    Otherwise the witness support is the explicit b'-covering construction
+    of :func:`construct_admissible` at the first B-modulus b' no A-modulus
+    divides: it misses residue 0 of every A-modulus and covers Z/b'.  The
+    word has length b' * (1 + prod A) + 1, under the budget that
+    :func:`construct_admissible` enforces.
     """
-    bound = 4 * math.prod(bset_a.moduli) * math.prod(bset_b.moduli)
     if includes(bset_a, bset_b):
-        if not word_level_includes(bset_a, bset_b):
-            raise AssertionError("oracle contradicts the divisibility criterion")
         return None
     b_prime = next(
         bp for bp in bset_b.moduli if all(bp % b != 0 for b in bset_a.moduli)
     )
     support = construct_admissible(bset_a.moduli, b_prime)
-    hi = max(support) + 1
-    if hi > bound:
-        raise SearchBudgetExceeded(f"witness length {hi} exceeds bound {bound}")
-    word = BinaryWord.from_support(support, 0, hi)
-    assert is_admissible(word, bset_a)
-    assert not is_admissible(word, BSet((b_prime,)))
-    return word
+    return BinaryWord.from_support(support, 0, max(support) + 1)
 
 
 def density_estimate(bset: BSet, c: int, r: int, horizon: int) -> float:

@@ -146,7 +146,7 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    block = _window(lo, hi, None, rows=count)
+    block = _window(lo, hi, rows=count)
     rngs = [
         np.random.Generator(np.random.Philox(key=(int(seed) << 64) | c))
         for c in range(-(-count // CHUNK))

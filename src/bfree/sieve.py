@@ -28,17 +28,16 @@ __all__ = [
     "phi_sa_window",
 ]
 
-# Default memory budget for a single window, overridable per call.
+# Memory budget for the bits of one window or one batch of windows.
 MAX_WINDOW_BITS = 2**30
 
 
-def _window(lo: int, hi: int, max_bits, rows: int = 1) -> np.ndarray:
+def _window(lo: int, hi: int, rows: int = 1) -> np.ndarray:
     # A (rows, hi - lo) block of ones, refused before allocation past the budget.
     if hi <= lo:
         raise ValueError(f"empty window [{lo}, {hi})")
-    budget = MAX_WINDOW_BITS if max_bits is None else max_bits
-    if rows * (hi - lo) > budget:
-        raise WindowTooLarge(f"{rows} x {hi - lo} window bits exceed budget {budget}")
+    if rows * (hi - lo) > MAX_WINDOW_BITS:
+        raise WindowTooLarge(f"{rows} x {hi - lo} window bits exceed budget {MAX_WINDOW_BITS}")
     return np.ones((rows, hi - lo), dtype=np.uint8)
 
 
@@ -63,27 +62,27 @@ def _strike_rows(block: np.ndarray, lo: int, moduli, classes, omegas: np.ndarray
                 block[rows, (a - r - lo) % b :: b] = 0
 
 
-def _coding(moduli, classes, residues, lo: int, hi: int, max_bits) -> BinaryWord:
+def _coding(moduli, classes, residues, lo: int, hi: int) -> BinaryWord:
     # The one-row case of the kernel; object dtype keeps coordinates of any size.
-    block = _window(lo, hi, max_bits)
+    block = _window(lo, hi)
     _strike_rows(block, lo, moduli, classes, np.array([residues], dtype=object))
     block.setflags(write=False)
     return BinaryWord._views(block, [int(lo)])[0]
 
 
-def eta_window(bset: BSet, lo: int, hi: int, *, max_bits=None) -> BinaryWord:
+def eta_window(bset: BSet, lo: int, hi: int) -> BinaryWord:
     """Indicator of integers in [lo, hi) divisible by no modulus."""
-    return _coding(bset.moduli, [(0,)] * len(bset), [0] * len(bset), lo, hi, max_bits)
+    return _coding(bset.moduli, [(0,)] * len(bset), [0] * len(bset), lo, hi)
 
 
-def phi_window(omega: OdometerPoint, lo: int, hi: int, *, max_bits=None) -> BinaryWord:
+def phi_window(omega: OdometerPoint, lo: int, hi: int) -> BinaryWord:
     """Coding of an odometer point over [lo, hi).
 
     Position n carries 1 iff omega(k) + n is nonzero mod b_k for every k.
     The all-zero point reproduces :func:`eta_window`.
     """
     mods = omega.bset.moduli
-    return _coding(mods, [(0,)] * len(mods), omega.residues, lo, hi, max_bits)
+    return _coding(mods, [(0,)] * len(mods), omega.residues, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -134,12 +133,7 @@ class SAProfile:
 
 
 def phi_sa_window(
-    profile: SAProfile,
-    omega: OdometerPoint | Sequence[int],
-    lo: int,
-    hi: int,
-    *,
-    max_bits=None,
+    profile: SAProfile, omega: OdometerPoint | Sequence[int], lo: int, hi: int
 ) -> BinaryWord:
     """Generalized coding: forbid n == a_i^k - omega(k) (mod b_k) for all k, i.
 
@@ -151,4 +145,4 @@ def phi_sa_window(
     residues = omega.residues if isinstance(omega, OdometerPoint) else tuple(omega)
     if len(residues) != len(profile.bset):
         raise ValueError("one odometer coordinate per modulus required")
-    return _coding(profile.bset.moduli, profile.a, residues, lo, hi, max_bits)
+    return _coding(profile.bset.moduli, profile.a, residues, lo, hi)

@@ -49,6 +49,12 @@ __all__ = [
 _BITS = 128
 _MOD = 1 << _BITS
 
+# Longest forward orbit collect_blocks scans before giving up on saturation.
+MAX_ORBIT_BITS = 1 << 21
+
+# Stages transitive_closure_point runs before giving up on reaching length.
+MAX_STAGES = 64
+
 
 def _to_fixed(x) -> int:
     """Truncate a real in [0, 1] to 128 fractional bits."""
@@ -123,9 +129,13 @@ class RotationCoding:
 def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
     """Exact coding bits over [lo, hi).
 
-    alpha is truncated, so the true phase at step n lies within |n| units
-    of the computed one (one unit = 2^-128).  A bit is emitted only when
-    no interval endpoint falls strictly inside that uncertainty range.
+    alpha and y are both truncated, by less than one unit each (one unit
+    = 2^-128), so the true phase at step n lies within |n| + 1 units of
+    the computed one: above it by less than n + 1 for n >= 0, and for
+    n < 0 below it by less than |n| or above it by less than 1.  A bit is
+    emitted only when no interval endpoint falls strictly inside that
+    range, nor, for n < 0, exactly on the computed phase; otherwise
+    :class:`PrecisionExhausted` is raised.
     """
     if hi <= lo:
         raise ValueError("empty window")
@@ -135,11 +145,12 @@ def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
     bits = np.empty(hi - lo, dtype=np.uint8)
     for i, n in enumerate(range(lo, hi)):
         phase = (coding.y_fixed + n * coding.alpha_fixed) % _MOD
-        err = abs(n)
+        err = abs(n) + 1
         for num, den in ends:
             # cyclic distance from phase to the endpoint, in units/den
             delta = (phase * den - num) % (_MOD * den)
-            if 0 < min(delta, _MOD * den - delta) < err * den:
+            dist = min(delta, _MOD * den - delta)
+            if dist < err * den and (dist > 0 or n < 0):
                 raise PrecisionExhausted(
                     f"phase at n={n} within {err} units of an interval endpoint"
                 )
@@ -151,23 +162,21 @@ def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
     return BinaryWord(bits, lo)
 
 
-def collect_blocks(
-    coding: RotationCoding, n: int, *, start_length: int = 0, max_length: int = 1 << 21
-) -> set[str]:
+def collect_blocks(coding: RotationCoding, n: int) -> set[str]:
     """Distinct n-blocks along the forward orbit, with saturation control.
 
-    Doubles the scanned orbit length until the block set is stable across
-    two consecutive doublings; raises NotSaturated when the budget runs
-    out first.
+    Doubles the scanned orbit length, from 64 n bits, until the block set
+    is stable across two consecutive doublings; raises NotSaturated when
+    the next doubling would pass ``MAX_ORBIT_BITS``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    length = max(start_length, 64 * n)
+    length = 64 * n
     text = sturmian_window(coding, 0, length).to_string()
     blocks = {text[i : i + n] for i in range(length - n + 1)}
     stable = 0
     while stable < 2:
-        if 2 * length > max_length:
+        if 2 * length > MAX_ORBIT_BITS:
             raise NotSaturated(f"block count still growing at orbit length {length}")
         text += sturmian_window(coding, length, 2 * length).to_string()
         length *= 2
@@ -177,22 +186,9 @@ def collect_blocks(
     return blocks
 
 
-def rotation_complexity(coding: RotationCoding, n_max: int, *, max_length: int = 1 << 21) -> list[int]:
-    """Saturated counts of distinct n-blocks for n = 1..n_max.
-
-    For the half interval [0, 1/2) the counts are additionally checked
-    against the p_n <= 2n + 2 linear bound.
-    """
-    counts = []
-    length = 0
-    for n in range(1, n_max + 1):
-        blocks = collect_blocks(coding, n, start_length=length, max_length=max_length)
-        counts.append(len(blocks))
-    if coding.interval == (Fraction(0), Fraction(1, 2)):
-        for n, p in enumerate(counts, start=1):
-            if p > 2 * n + 2:
-                raise AssertionError(f"p_{n} = {p} exceeds 2n + 2")
-    return counts
+def rotation_complexity(coding: RotationCoding, n_max: int) -> list[int]:
+    """Saturated counts of distinct n-blocks for n = 1..n_max."""
+    return [len(collect_blocks(coding, n)) for n in range(1, n_max + 1)]
 
 
 def _dominated_masks(block: str) -> Iterable[int]:
@@ -312,12 +308,7 @@ def sample_periodic_windows(
 
 
 def transitive_closure_point(
-    blocks_of: Callable[[int], Iterable[str]],
-    h_bits: float,
-    n1: int,
-    length: int,
-    *,
-    max_stages: int = 64,
+    blocks_of: Callable[[int], Iterable[str]], h_bits: float, n1: int, length: int
 ) -> BinaryWord:
     """Prefix of a transitive point of a hereditary shift with entropy > 0.
 
@@ -328,7 +319,8 @@ def transitive_closure_point(
     every word dominated by the current prefix, both in lexicographic
     order.  ``blocks_of(n)`` must yield lexicographically and lazily; it
     is consumed only until ``length`` is reached.  Deterministic given
-    the catalogue order; truncated to ``length``.
+    the catalogue order; truncated to ``length``.  Raises
+    :class:`BudgetExceeded` when ``MAX_STAGES`` stages fall short of it.
     """
     if length == 0:
         return BinaryWord(np.zeros(0, dtype=np.uint8))
@@ -348,7 +340,7 @@ def transitive_closure_point(
     for block in blocks_of(n1):
         if push(block) or push(z1):
             return BinaryWord.from_string("".join(pieces)[:length])
-    for _ in range(max_stages):
+    for _ in range(MAX_STAGES):
         prefix = "".join(pieces)
         nk = len(prefix)
         z = "0" * (L * nk)
@@ -374,7 +366,7 @@ def transitive_closure_point(
         if done:
             break
     else:
-        raise BudgetExceeded(f"{max_stages} stages did not reach length {length}")
+        raise BudgetExceeded(f"{MAX_STAGES} stages did not reach length {length}")
     return BinaryWord.from_string("".join(pieces)[:length])
 
 

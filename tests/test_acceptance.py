@@ -16,13 +16,7 @@ from bfree.admissibility import (
     entropy_from_complexity,
     spectrum_profile,
 )
-from bfree.core import (
-    BinaryWord,
-    OdometerPoint,
-    crt_free_count,
-    crt_free_count_sieve,
-    validate_bset,
-)
+from bfree.core import BinaryWord, OdometerPoint, crt_free_count, validate_bset
 from bfree.entropy import h_product_type
 from bfree.inclusion import construct_admissible, includes, word_level_includes
 from bfree.measures import (
@@ -43,6 +37,7 @@ from bfree.sturmian import (
     sample_periodic_windows,
     two_mme_system,
 )
+from sieve_oracle import crt_free_count_sieve
 
 
 def _report(num: int, ok: bool, detail: str):

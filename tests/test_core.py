@@ -12,11 +12,11 @@ from bfree.core import (
     CylinderSpec,
     OdometerPoint,
     crt_free_count,
-    crt_free_count_sieve,
     squarefree_family,
     validate_bset,
 )
 from bfree.errors import EmptyWord, LengthMismatch, ModulusTooSmall, NotCoprime, NotSorted
+from sieve_oracle import crt_free_count_sieve
 
 # pairwise coprime pool for random moduli sets
 _POOL = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

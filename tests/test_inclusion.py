@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfree.admissibility import is_admissible
-from bfree.core import BSet, validate_bset
+from bfree.core import BSet, squarefree_family, validate_bset
 from bfree.errors import DivisiblePrecondition, NotCoprimeToC, WindowTooLarge
 from bfree.inclusion import (
     construct_admissible,
@@ -58,6 +58,13 @@ class TestEquality:
     def test_order_insensitive(self):
         assert equality(validate_bset([4, 9]), validate_bset(sorted([9, 4])))
 
+    def test_is_mutual_inclusion(self):
+        rng = random.Random(5)
+        sets = [random_bset(rng) for _ in range(40)]
+        for a in sets:
+            for b in sets:
+                assert equality(a, b) == (includes(a, b) and includes(b, a))
+
 
 class TestConstructAdmissible:
     def test_23_5(self):
@@ -73,6 +80,16 @@ class TestConstructAdmissible:
         with pytest.raises(DivisiblePrecondition):
             construct_admissible([2, 3], 6)
 
+    def test_length_budget(self, monkeypatch):
+        # the witness word has length b' * (1 + 2 * 3) + 1 = 7064 at b' = 1009
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 7064)
+        assert len(inclusion_witness(validate_bset([2, 3]), validate_bset([1009]))) == 7064
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 1000)
+        with pytest.raises(WindowTooLarge):
+            construct_admissible([2, 3], 1009)
+        with pytest.raises(WindowTooLarge):
+            inclusion_witness(validate_bset([2, 3]), validate_bset([1009]))
+
     def test_randomized_verification(self):
         rng = random.Random(7)
         done = 0
@@ -83,6 +100,7 @@ class TestConstructAdmissible:
                 continue
             out = construct_admissible(small, b_prime)
             assert len(out) == b_prime
+            assert max(out) == b_prime * (1 + math.prod(small))
             for m in small:
                 assert all(x % m != 0 for x in out)
             assert {x % b_prime for x in out} == set(range(b_prime))
@@ -99,6 +117,19 @@ class TestInclusionWitness:
     def test_no_witness_when_included(self):
         assert inclusion_witness(validate_bset([2]), validate_bset([4])) is None
         assert inclusion_witness(validate_bset([2]), validate_bset([2])) is None
+
+    def test_included_pair_past_the_oracle_budget(self):
+        # prod A = 4 * 9 * 25 * 49 * 121 exceeds the oracle's combination budget
+        assert inclusion_witness(squarefree_family(5), validate_bset([4 * 121 * 7])) is None
+
+    def test_verdict_does_not_run_the_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("word_level_includes called")
+
+        monkeypatch.setattr("bfree.inclusion.word_level_includes", refuse)
+        monkeypatch.setattr("bfree.inclusion._separating_modulus", refuse)
+        assert inclusion_witness(validate_bset([2, 9]), validate_bset([4, 9])) is None
+        assert equality(validate_bset([2, 9]), validate_bset([2, 9]))
 
     def test_witness_matches_verdict(self):
         rng = random.Random(3)

@@ -25,9 +25,11 @@ class TestEtaWindow:
     def test_squares(self):
         assert eta_window(validate_bset([4, 9, 25]), 1, 5).to_string() == "1110"
 
-    def test_window_budget(self):
+    def test_window_budget(self, monkeypatch):
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 10)
+        assert len(eta_window(validate_bset([2]), 0, 10)) == 10
         with pytest.raises(WindowTooLarge):
-            eta_window(validate_bset([2]), 0, 100, max_bits=10)
+            eta_window(validate_bset([2]), 0, 100)
 
     @given(
         st.sets(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=3),

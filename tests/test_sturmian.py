@@ -8,6 +8,7 @@ import pytest
 from bfree.admissibility import admissible_words
 from bfree.core import BinaryWord, validate_bset
 from bfree.errors import (
+    BudgetExceeded,
     NotMinimalPeriod,
     NotSaturated,
     PrecisionExhausted,
@@ -63,6 +64,25 @@ class TestRotationCoding:
         with pytest.raises(PrecisionExhausted):
             sturmian_window(coding, 0, 3)
 
+    def test_truncated_y_counts_in_the_error(self):
+        # y = 1/3 + 2^-200 truncates to a third of a unit below the
+        # endpoint 1/3, so the computed phase at n=0 reads bit 0 where the
+        # true bit is 1
+        coding = RotationCoding.from_real(
+            Fraction(1, 5), Fraction(1, 3) + Fraction(1, 2**200), (Fraction(1, 3), Fraction(2, 3))
+        )
+        with pytest.raises(PrecisionExhausted, match="n=0"):
+            sturmian_window(coding, 0, 1)
+
+    def test_negative_step_on_an_endpoint(self):
+        # alpha = 1/2 + 2^-200 truncates to exactly 1/2, so the phase at
+        # n=-1 is computed as the endpoint 1/2 (bit 0) while the true phase
+        # lies just below it (bit 1)
+        coding = RotationCoding.from_real(Fraction(1, 2) + Fraction(1, 2**200))
+        with pytest.raises(PrecisionExhausted, match="n=-1"):
+            sturmian_window(coding, -1, 0)
+        assert sturmian_window(coding, 1, 2).to_string() == "0"
+
     def test_density_close_to_interval_length(self):
         for N in (100, 1000, 5000):
             w = sturmian_window(GOLDEN, 0, N)
@@ -83,13 +103,14 @@ class TestRotationComplexity:
             assert p <= 2 * n + 2
 
     def test_stable_under_doubling(self):
+        text = sturmian_window(GOLDEN, 0, 8192).to_string()
         a = collect_blocks(GOLDEN, 2)
-        b = collect_blocks(GOLDEN, 2, start_length=4096)
-        assert a == b and len(a) <= 6
+        assert a == {text[i : i + 2] for i in range(8191)} and len(a) <= 6
 
-    def test_not_saturated(self):
+    def test_not_saturated(self, monkeypatch):
+        monkeypatch.setattr("bfree.sturmian.MAX_ORBIT_BITS", 256)
         with pytest.raises(NotSaturated):
-            collect_blocks(GOLDEN, 10, max_length=256)
+            collect_blocks(GOLDEN, 10)
 
 
 class TestHereditaryClosure:
@@ -181,6 +202,10 @@ class TestTransitiveClosurePoint:
 
     def test_empty(self):
         assert len(transitive_closure_point(self._blocks_of, 0.5, 1, 0)) == 0
+
+    def test_stage_budget(self):
+        with pytest.raises(BudgetExceeded):
+            transitive_closure_point(lambda n: iter(()), 0.5, 1, 10)
 
     def test_prefix_stability(self):
         long = transitive_closure_point(self._blocks_of, 0.5, 1, 2000).to_string()
