@@ -17,6 +17,11 @@ samples in sample order, position by position, and a 1 is kept iff its
 double is < p.  Points are always drawn for whole chunks, so a batch of
 count k is the first k samples of any larger batch with the same seed
 and window.
+
+Every sampler, ``sturmian.sample_periodic_windows`` included, draws
+through this one core, so one seed gives all of them the same points (a
+product batch at p = 1 equals the Mirsky batch); use distinct seeds for
+independent samples.
 """
 
 from __future__ import annotations
@@ -137,10 +142,10 @@ class SampleBatch:
 
 
 def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: int, seed: int):
-    """Words and odometer points of ``count`` masked codings over [lo, hi).
+    """Read-only (count, hi - lo) uint8 bits and (count, K) int64 points.
 
-    Chunk c of CHUNK samples reads one Philox stream keyed by
-    (seed << 64) | c: first the coordinates of all CHUNK slots, one
+    The package's only random draw: chunk c of CHUNK masked codings over
+    [lo, hi) reads one Philox stream keyed by (seed << 64) | c, first one
     ``integers(0, m, CHUNK)`` per odometer modulus m, then, when p < 1,
     the mask doubles of the chunk's samples in sample order.
     """
@@ -166,19 +171,25 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
                 stop = min(start + MASK_DRAW, end)
                 flat[start:stop] &= rng.random(stop - start) < float(p)
     block.setflags(write=False)
-    return BinaryWord._views(block, [int(lo)] * count), omegas
+    return block, omegas
+
+
+def _batch(measure: str, moduli, classes, draw_moduli, p, lo, hi, count, seed, /, **spec):
+    # The one SampleBatch builder; ``spec`` goes after the moduli.  The draw's
+    # arguments are positional-only, so a spec key may be "p".
+    block, omegas = _sample(moduli, classes, draw_moduli, p, lo, hi, count, seed)
+    return SampleBatch(
+        BinaryWord._views(block, [int(lo)] * count),
+        seed,
+        {"measure": measure, "moduli": list(moduli), **spec, "window": [lo, hi], "count": count},
+        omegas=omegas,
+    )
 
 
 def sample_mirsky(bset: BSet, lo: int, hi: int, count: int, seed: int) -> SampleBatch:
     """Windows of odometer codings with coordinatewise-uniform base points."""
     mods = bset.moduli
-    words, omegas = _sample(mods, [(0,)] * len(mods), mods, Fraction(1), lo, hi, count, seed)
-    return SampleBatch(
-        words,
-        seed,
-        {"measure": "mirsky", "moduli": list(mods), "window": [lo, hi], "count": count},
-        omegas=omegas,
-    )
+    return _batch("mirsky", mods, [(0,)] * len(mods), mods, Fraction(1), lo, hi, count, seed)
 
 
 def sample_product(
@@ -191,18 +202,8 @@ def sample_product(
     with :func:`sample_mirsky`.
     """
     mods = spec.bset.moduli
-    words, omegas = _sample(mods, [(0,)] * len(mods), mods, spec.p, lo, hi, count, seed)
-    return SampleBatch(
-        words,
-        seed,
-        {
-            "measure": "product",
-            "moduli": list(mods),
-            "p": str(spec.p),
-            "window": [lo, hi],
-            "count": count,
-        },
-        omegas=omegas,
+    return _batch(
+        "product", mods, [(0,)] * len(mods), mods, spec.p, lo, hi, count, seed, p=str(spec.p)
     )
 
 
@@ -215,22 +216,9 @@ def sample_generalized(
     the minimal periods b'_k).
     """
     p = ProductMeasureSpec(profile.bset, p).p
-    mods = profile.bset.moduli
-    words, omegas = _sample(mods, profile.a, profile.odometer_moduli, p, lo, hi, count, seed)
-    return SampleBatch(
-        words,
-        seed,
-        {
-            "measure": "generalized",
-            "moduli": list(mods),
-            "s": list(profile.s),
-            "a": [sorted(ak) for ak in profile.a],
-            "p": str(p),
-            "window": [lo, hi],
-            "count": count,
-        },
-        omegas=omegas,
-    )
+    spec = {"s": list(profile.s), "a": [sorted(ak) for ak in profile.a], "p": str(p)}
+    mods, draw = profile.bset.moduli, profile.odometer_moduli
+    return _batch("generalized", mods, profile.a, draw, p, lo, hi, count, seed, **spec)
 
 
 def mask_batch(base: SampleBatch, kappa: SampleBatch) -> SampleBatch:

@@ -50,6 +50,8 @@ def _strike_rows(block: np.ndarray, lo: int, moduli, classes, omegas: np.ndarray
     is one strided assignment, so the work is O(rows * sum_k s_k L / b_k)
     and never O(rows * L * K).
     """
+    if not len(block):
+        return
     for k, (b, ak) in enumerate(zip(moduli, classes)):
         col = omegas[:, k]
         order = np.argsort(col, kind="stable")

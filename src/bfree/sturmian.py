@@ -18,6 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import admissibility
 from .core import BinaryWord
 from .errors import (
     BudgetExceeded,
@@ -25,9 +26,11 @@ from .errors import (
     NotSaturated,
     PrecisionExhausted,
     PreconditionUnmet,
+    StateSpaceTooLarge,
     TargetTooLong,
     WindowTooLarge,
 )
+from .measures import _sample
 from .sieve import MAX_WINDOW_BITS
 
 __all__ = [
@@ -200,7 +203,14 @@ def _dominated_masks(block: str) -> Iterable[int]:
 
 
 def hereditary_closure_count(blocks: Iterable[str]) -> int:
-    """Number of words dominated by at least one of the given blocks."""
+    """Number of words dominated by at least one of the given blocks.
+
+    It enumerates 2^ones words per block, so it raises StateSpaceTooLarge
+    up front when their sum exceeds 2^``admissibility.MAX_STATE_BITS``.
+    """
+    blocks, cap = list(blocks), admissibility.MAX_STATE_BITS
+    if sum(1 << block.count("1") for block in blocks) > 1 << cap:
+        raise StateSpaceTooLarge(f"dominated words of the blocks exceed budget 2^{cap}")
     seen: set[int] = set()
     for block in blocks:
         seen.update(_dominated_masks(block))
@@ -292,19 +302,18 @@ def mme_block_frequency(
 def sample_periodic_windows(
     system: PeriodicHereditarySystem, p, length: int, count: int, seed: int
 ) -> np.ndarray:
-    """count x length uint8 array of masked windows at uniform phases.
+    """Read-only count x length uint8 array of masked windows at uniform phases.
 
-    Vectorized draw from a single Philox stream keyed by the seed; row i
-    is the window [j_i, j_i + length) with each 1 kept w.p. p.
+    Row i is the window [j_i, j_i + length) of the periodic point with each
+    1 kept w.p. p: the ``sample_generalized`` rows, same seed, for modulus c
+    forbidding the phases of the block's zeros (:mod:`bfree.measures`).
     """
-    rng = np.random.Generator(np.random.Philox(key=int(seed) << 64))
-    c = len(system.block)
-    # read from an extended period so every phase window is contiguous
-    extended = system.window(0, c + length).bits
-    phases = rng.integers(0, c, size=count)
-    windows = extended[phases[:, None] + np.arange(length)[None, :]]
-    keep = (rng.random(size=(count, length)) < float(p)).astype(np.uint8)
-    return windows & keep
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
+    c, offset = len(system.block), system.block.offset
+    zeros = frozenset((i + offset) % c for i in np.flatnonzero(system.block.bits == 0).tolist())
+    return _sample((c,), (zeros,), (c,), p, 0, length, count, seed)[0]
 
 
 def transitive_closure_point(
@@ -319,55 +328,47 @@ def transitive_closure_point(
     every word dominated by the current prefix, both in lexicographic
     order.  ``blocks_of(n)`` must yield lexicographically and lazily; it
     is consumed only until ``length`` is reached.  Deterministic given
-    the catalogue order; truncated to ``length``.  Raises
-    :class:`BudgetExceeded` when ``MAX_STAGES`` stages fall short of it.
+    the catalogue order; truncated to ``length``, which ``MAX_WINDOW_BITS``
+    caps.  Raises :class:`BudgetExceeded` when ``MAX_STAGES`` stages fall
+    short of it.
     """
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    if length > MAX_WINDOW_BITS:
+        raise WindowTooLarge(f"length {length} exceeds budget {MAX_WINDOW_BITS}")
     if length == 0:
         return BinaryWord(np.zeros(0, dtype=np.uint8))
     if h_bits <= 0:
         raise ValueError("h_bits must be positive")
     L = math.ceil(1 / h_bits)
     pieces: list[str] = []
+
+    def stages() -> Iterable[str]:
+        z = "0" * (L * n1)
+        for block in blocks_of(n1):
+            yield from (block, z)
+        for _ in range(MAX_STAGES):
+            prefix = "".join(pieces)  # every piece yielded so far
+            z = "0" * (L * len(prefix))
+            yield z
+            for block in blocks_of(len(prefix)):
+                yield from (block, z)
+            # dominated words of the prefix, lexicographically: free choice at
+            # each support position, leftmost bit most significant
+            ones = [i for i, ch in enumerate(prefix) if ch == "1"]
+            word = list(prefix)
+            for choice in product("01", repeat=len(ones)):
+                for pos, bit in zip(ones, choice):
+                    word[pos] = bit
+                yield from ("".join(word), z)
+
     total = 0
-
-    def push(s: str) -> bool:
-        nonlocal total
-        pieces.append(s)
-        total += len(s)
-        return total >= length
-
-    z1 = "0" * (L * n1)
-    for block in blocks_of(n1):
-        if push(block) or push(z1):
+    for piece in stages():
+        pieces.append(piece)
+        total += len(piece)
+        if total >= length:
             return BinaryWord.from_string("".join(pieces)[:length])
-    for _ in range(MAX_STAGES):
-        prefix = "".join(pieces)
-        nk = len(prefix)
-        z = "0" * (L * nk)
-        if push(z):
-            break
-        done = False
-        for block in blocks_of(nk):
-            if push(block) or push(z):
-                done = True
-                break
-        if done:
-            break
-        # dominated words of the prefix, lexicographically: free choice at
-        # each support position, leftmost bit most significant
-        ones = [i for i, ch in enumerate(prefix) if ch == "1"]
-        arr = np.zeros(nk, dtype=np.uint8)
-        for choice in product("01", repeat=len(ones)):
-            for pos, bit in zip(ones, choice):
-                arr[pos] = bit == "1"
-            if push((arr + ord("0")).tobytes().decode("ascii")) or push(z):
-                done = True
-                break
-        if done:
-            break
-    else:
-        raise BudgetExceeded(f"{MAX_STAGES} stages did not reach length {length}")
-    return BinaryWord.from_string("".join(pieces)[:length])
+    raise BudgetExceeded(f"{MAX_STAGES} stages did not reach length {length}")
 
 
 def minimal_subset_variant(
@@ -382,20 +383,21 @@ def minimal_subset_variant(
     """
     if any(primes[i] >= primes[i + 1] for i in range(len(primes) - 1)):
         raise ValueError("primes must be strictly increasing")
+    if primes and primes[0] < 2:
+        raise ValueError("primes must be >= 2")
     word = system.window(lo, hi)
     c = len(system.block)
+    first, last = lo // c, (hi - 1) // c
+    n = np.arange(lo, hi) // c
     bits = word.bits.copy()
-    prods = []
     P = 1
-    for p in primes:
+    for k, p in enumerate(primes, start=1):
         P *= p
-        prods.append(P)
-    for pos in range(lo, hi):
-        n = pos // c
-        for k, P in enumerate(prods, start=1):
-            if n % P == (k - 1) % P and n != k - 1:
-                bits[pos - lo] = 0
-                break
+        # a zeroed n lies at least P away from k - 1, and P outgrows that
+        # distance faster than k moves it, so no later product can zero n
+        if P > max(abs(first - k + 1), abs(last - k + 1)):
+            break
+        bits[(n % P == k - 1) & (n != k - 1)] = 0
     return BinaryWord(bits, lo)
 
 
@@ -405,6 +407,8 @@ def close_alpha_block_containment(alpha, beta, n: int) -> bool:
     Valid under two preconditions: alpha's partial quotients are at most 2
     over the tested prefix, and |alpha - beta| < 1/(48 n^2).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     a = RotationCoding.from_real(alpha) if not isinstance(alpha, RotationCoding) else alpha
     b = RotationCoding.from_real(beta) if not isinstance(beta, RotationCoding) else beta
     # Tested prefix: quotients while the convergent denominator q is at

@@ -63,6 +63,17 @@ class TestGoldenOutputs:
         meta = json.loads(out1)["metadata"]
         assert meta["seed"] == 42 and "generator" in meta
 
+    def test_sample_empty_batch(self, capsys):
+        code, out, _ = run(capsys, "sample", "--measure", "mirsky", "--bset", "2,3",
+                           "--window", "0:9", "--count", "0")
+        assert code == 0
+        assert json.loads(out)["words"] == []
+
+    def test_transitive_negative_length(self, capsys):
+        code, _, err = run(capsys, "transitive", "--bset", "2", "--length", "-7")
+        assert code == 1
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_spectrum(self, capsys):
         _, out, _ = run(capsys, "spectrum", "--bset", "9", "--word", "101101101")
         assert json.loads(out)["profile"] == [

@@ -257,6 +257,41 @@ class TestSamplerContractV2:
         assert GENERATOR_ID == "philox4x64-chunked-v2"
         assert json.loads(batch.metadata_json())["generator"] == GENERATOR_ID
 
+    def test_spec_records_the_call(self):
+        bset = validate_bset([4, 9])
+        prof = SAProfile(bset, (2, 3), (frozenset({0, 2}), frozenset({1, 4, 7})))
+        half = Fraction(1, 2)
+        specs = [
+            sample_mirsky(bset, 1, 5, 3, seed=4).spec,
+            sample_product(ProductMeasureSpec(bset, half), 1, 5, 3, seed=4).spec,
+            sample_generalized(prof, half, 1, 5, 3, seed=4).spec,
+        ]
+        tail = {"window": [1, 5], "count": 3}
+        assert specs == [
+            {"measure": "mirsky", "moduli": [4, 9], **tail},
+            {"measure": "product", "moduli": [4, 9], "p": "1/2", **tail},
+            {"measure": "generalized", "moduli": [4, 9], "s": [2, 3], "a": [[0, 2], [1, 4, 7]],
+             "p": "1/2", **tail},
+        ]
+        # dict equality ignores order; the JSON metadata keeps it
+        assert [list(s) for s in specs] == [
+            ["measure", "moduli", "window", "count"],
+            ["measure", "moduli", "p", "window", "count"],
+            ["measure", "moduli", "s", "a", "p", "window", "count"],
+        ]
+
+    def test_empty_batches(self):
+        bset = validate_bset([2, 3])
+        half = Fraction(1, 2)
+        for batch in (
+            sample_mirsky(bset, 0, 9, 0, seed=1),
+            sample_product(ProductMeasureSpec(bset, half), 0, 9, 0, seed=1),
+            sample_generalized(SAProfile.plain(bset), half, 0, 9, 0, seed=1),
+        ):
+            assert batch.words == ()
+            assert batch.omegas.shape == (0, 2)
+            assert batch.spec["count"] == 0
+
 
 class TestMaskBatch:
     def test_coordinatewise_product(self):

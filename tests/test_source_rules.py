@@ -16,3 +16,33 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+# Names that build a NumPy random generator; only the sampler core may use them.
+RNG_NAMES = {"Philox", "Generator", "default_rng"}
+
+
+def _rng_lines(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        if name in RNG_NAMES:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "measures.py"], ids=lambda p: p.name
+)
+def test_random_draws_only_in_the_sampler_core(path):
+    # measures._sample is the one RNG contract; a second generator elsewhere
+    # would be a second stream with its own keys
+    lines = _rng_lines(path)
+    assert not lines, f"{path.name} builds a random generator at lines {lines}"
+
+
+def test_sampler_core_is_seen_by_the_rule():
+    assert _rng_lines(Path(bfree.__file__).parent / "measures.py")

@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import operator
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +16,12 @@ from bfree.errors import (
     NotSaturated,
     PrecisionExhausted,
     PreconditionUnmet,
+    StateSpaceTooLarge,
     TargetTooLong,
+    WindowTooLarge,
 )
+from bfree.measures import sample_generalized
+from bfree.sieve import MAX_WINDOW_BITS, SAProfile
 from bfree.sturmian import (
     PeriodicHereditarySystem,
     RotationCoding,
@@ -127,6 +134,17 @@ class TestHereditaryClosure:
         full = math.log2(hereditary_closure_count(blocks)) / n
         assert hereditary_entropy_estimate(GOLDEN, n) <= full
 
+    def test_enumeration_budget(self, monkeypatch):
+        assert hereditary_closure_count(["1111"]) == 16
+        with pytest.raises(StateSpaceTooLarge):
+            hereditary_closure_count(["1" * 25])
+        # the sum over all blocks is refused before any block is enumerated
+        monkeypatch.setattr("bfree.admissibility.MAX_STATE_BITS", 4)
+        assert hereditary_closure_count(["1111"]) == 16
+        monkeypatch.setattr("bfree.sturmian._dominated_masks", None)
+        with pytest.raises(StateSpaceTooLarge):
+            hereditary_closure_count(iter(["1111", "1"]))
+
 
 class TestPeriodicHereditarySystem:
     def test_minimal_period_enforced(self):
@@ -191,6 +209,46 @@ class TestTwoMME:
         assert abs(freq - 1 / 72) < 0.002
 
 
+class TestSamplePeriodicWindows:
+    @staticmethod
+    def _profile(system):
+        # position j of the periodic point is 0 iff phase j forbids residue 0
+        c = len(system.block)
+        zeros = frozenset(np.flatnonzero(system.window(0, c).bits == 0).tolist())
+        return SAProfile(validate_bset([c]), (len(zeros),), (zeros,))
+
+    @pytest.mark.parametrize("count", [0, 5, 1024, 3000])
+    @pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2)])
+    def test_equals_generalized_sampler(self, p, count):
+        shifted = PeriodicHereditarySystem(BinaryWord.from_string("101001000", 4))
+        for system in (*two_mme_system(), shifted):
+            rows = sample_periodic_windows(system, p, 18, count, seed=41)
+            batch = sample_generalized(self._profile(system), p, 0, 18, count, seed=41)
+            expected = np.array([w.bits for w in batch.words], dtype=np.uint8)
+            assert rows.dtype == np.uint8 and rows.shape == (count, 18)
+            assert np.array_equal(rows, expected.reshape(count, 18))
+
+    @pytest.mark.parametrize("block, offset", [("1", 0), ("0", 0), ("101001000", 4), ("110", -5)])
+    def test_rows_are_phase_windows(self, block, offset):
+        system = PeriodicHereditarySystem(BinaryWord.from_string(block, offset))
+        phases = {system.window(j, j + 20).to_string() for j in range(len(block))}
+        rows = sample_periodic_windows(system, 1, 20, 400, seed=3)
+        assert {(r + ord("0")).tobytes().decode("ascii") for r in rows} == phases
+        masked = sample_periodic_windows(system, Fraction(1, 3), 20, 400, seed=3)
+        assert (masked <= rows).all()
+        assert not sample_periodic_windows(system, 0, 20, 400, seed=3).any()
+
+    @pytest.mark.parametrize("p", [1.5, -1, Fraction(-1, 2), Fraction(3, 2)])
+    def test_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError):
+            sample_periodic_windows(two_mme_system()[0], p, 9, 10, seed=1)
+
+    def test_rows_are_read_only(self):
+        rows = sample_periodic_windows(two_mme_system()[0], 1, 9, 4, seed=1)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+
+
 class TestTransitiveClosurePoint:
     @staticmethod
     def _blocks_of(n):
@@ -206,6 +264,22 @@ class TestTransitiveClosurePoint:
     def test_stage_budget(self):
         with pytest.raises(BudgetExceeded):
             transitive_closure_point(lambda n: iter(()), 0.5, 1, 10)
+
+    def test_stage_layout(self):
+        # stage 1 on the catalogue {"1"}: "1", then a zero run; stage 2 on
+        # the prefix "10": a zero run, then the catalogue {"11"} and the
+        # words under "10" in lexicographic order, each followed by one
+        w = transitive_closure_point(lambda n: iter(["1" * n]), 1.0, 1, 16)
+        assert w.to_string() == "10" + "00" + "11" + "00" + "00" + "00" + "10" + "00"
+
+    def test_negative_length(self):
+        with pytest.raises(ValueError):
+            transitive_closure_point(self._blocks_of, 0.5, 1, -7)
+
+    def test_length_budget(self):
+        # refused before stage 1 asks for a single block
+        with pytest.raises(WindowTooLarge):
+            transitive_closure_point(None, 0.5, 1, MAX_WINDOW_BITS + 1)
 
     def test_prefix_stability(self):
         long = transitive_closure_point(self._blocks_of, 0.5, 1, 2000).to_string()
@@ -231,7 +305,35 @@ class TestTransitiveClosurePoint:
                     assert "".join(w) in factors
 
 
+def _zeroed_by_position(system, primes, lo, hi):
+    # reference: the per-position loop over block indices n = pos // c
+    bits = system.window(lo, hi).bits.copy()
+    c = len(system.block)
+    prods = list(itertools.accumulate(primes, operator.mul))
+    for pos in range(lo, hi):
+        n = pos // c
+        for k, P in enumerate(prods, start=1):
+            if n % P == (k - 1) % P and n != k - 1:
+                bits[pos - lo] = 0
+                break
+    return bits
+
+
 class TestMinimalSubsetVariant:
+    def test_matches_position_loop(self):
+        rng = random.Random(5)
+        blocks = ["1", "10", "1101", "101001000", "101000100"]
+        pool = [2, 3, 5, 7, 11, 13, 10**12 + 39, 10**20 + 39]
+        for _ in range(600):
+            block = rng.choice(blocks)
+            system = PeriodicHereditarySystem(BinaryWord.from_string(block, rng.randrange(-9, 10)))
+            primes = sorted(rng.sample(pool, rng.randrange(0, 6)))
+            lo = rng.randrange(-400, 400)
+            hi = lo + rng.randrange(1, 500)
+            w = minimal_subset_variant(system, primes, lo, hi)
+            assert w.offset == lo
+            assert np.array_equal(w.bits, _zeroed_by_position(system, primes, lo, hi))
+
     def test_zeroes_even_blocks(self):
         a, _ = two_mme_system()
         w = minimal_subset_variant(a, [2], 0, 45)
@@ -255,6 +357,8 @@ class TestMinimalSubsetVariant:
         a, _ = two_mme_system()
         with pytest.raises(ValueError):
             minimal_subset_variant(a, [3, 2], 0, 9)
+        with pytest.raises(ValueError):
+            minimal_subset_variant(a, [0, 3], 0, 9)
 
 
 class TestCloseAlphaContainment:
@@ -269,6 +373,11 @@ class TestCloseAlphaContainment:
         beta = RotationCoding.from_real(Fraction(9, 10))
         with pytest.raises(PreconditionUnmet):
             close_alpha_block_containment(GOLDEN, beta, 10)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_block_length_below_one(self, n):
+        with pytest.raises(ValueError):
+            close_alpha_block_containment(GOLDEN, GOLDEN, n)
 
     def test_bad_quotients(self):
         # alpha = 1/4 has a partial quotient of 4
