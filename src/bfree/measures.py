@@ -281,6 +281,21 @@ def embed(u: BinaryWord, z: BinaryWord) -> BinaryWord:
     return BinaryWord(bits, z.offset)
 
 
+def _block_codes(block: np.ndarray, n: int) -> np.ndarray:
+    """Integer code of every n-window of each row of a (rows, L) bit block.
+
+    Entry (r, s) reads ``block[r, s : s + n]`` as a binary number, first
+    bit most significant: int64 below 63 bits, Python ints from there.
+    """
+    starts = block.shape[1] - n + 1
+    bits = block.astype(np.int64 if n < 63 else object)
+    code = np.zeros((len(block), starts), dtype=bits.dtype)
+    for j in range(n):
+        code <<= 1
+        code |= bits[:, j : j + starts]
+    return code
+
+
 def empirical_block_distribution(batch: SampleBatch, n: int) -> dict[str, float]:
     """Frequencies of all n-sub-words across every word and position."""
     if n < 1:
@@ -292,18 +307,9 @@ def empirical_block_distribution(batch: SampleBatch, n: int) -> dict[str, float]
         by_length.setdefault(len(w), []).append(w.bits)
     counts: dict[str, int] = {}
     for rows in by_length.values():
-        block = np.stack(rows)
-        starts = block.shape[1] - n + 1
-        # integer code of the window at each start; Python ints past 62 bits
-        bits = block.astype(np.int64 if n < 63 else object)
-        code = np.zeros((len(rows), starts), dtype=bits.dtype)
-        for j in range(n):
-            code <<= 1
-            code |= bits[:, j : j + starts]
-        _, first, freqs = np.unique(code.ravel(), return_index=True, return_counts=True)
-        for i, c in zip(first.tolist(), freqs.tolist()):
-            row, start = divmod(i, starts)
-            key = (block[row, start : start + n] + ord("0")).tobytes().decode("ascii")
+        codes, freqs = np.unique(_block_codes(np.stack(rows), n), return_counts=True)
+        for code, c in zip(codes.tolist(), freqs.tolist()):
+            key = format(code, f"0{n}b")
             counts[key] = counts.get(key, 0) + c
     total = sum(counts.values())
     return {block: c / total for block, c in counts.items()}

@@ -2,9 +2,16 @@
 
 Rotation phases are tracked in 128-bit fixed point; a bit is only emitted
 when the accumulated truncation error cannot flip it, otherwise
-PrecisionExhausted is raised.  Hereditary-closure block counts use the
-dominated-enumeration identity (count words lying under some occurring
-block) and never materialize the closure.
+PrecisionExhausted is raised.  The coder computes the fixed-point phases
+exactly, as two uint64 limbs per position in numpy integer arithmetic
+(no floats; Knuth, TAOCP vol. 2, 4.3.1), and filters them: a position
+whose high limb is far from every endpoint's high limb gets its bit from
+a limb comparison, and only the few near an endpoint go through the
+big-int error rule (the filter-then-exact pattern of Shewchuk, 1997).
+Block catalogues are sets of integer window codes, decoded once.
+Hereditary-closure block counts use the dominated-enumeration identity
+(count words lying under some occurring block) and never materialize the
+closure.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import admissibility
+from . import admissibility, sieve
 from .core import BinaryWord
 from .errors import (
     BudgetExceeded,
@@ -30,8 +37,7 @@ from .errors import (
     TargetTooLong,
     WindowTooLarge,
 )
-from .measures import _sample
-from .sieve import MAX_WINDOW_BITS
+from .measures import _block_codes, _sample
 
 __all__ = [
     "RotationCoding",
@@ -51,6 +57,10 @@ __all__ = [
 
 _BITS = 128
 _MOD = 1 << _BITS
+_LIMB = 1 << 64
+
+# Positions per pass of the sturmian_window limb kernel; bounds its temporaries.
+_CHUNK = 1 << 16
 
 # Longest forward orbit collect_blocks scans before giving up on saturation.
 MAX_ORBIT_BITS = 1 << 21
@@ -129,6 +139,29 @@ class RotationCoding:
         )
 
 
+def _exact_bit(coding: RotationCoding, n: int, ends, thresholds) -> int:
+    # The big-int rule for one position: its bit, or PrecisionExhausted when
+    # an endpoint lies within the truncation error of the computed phase.
+    phase = (coding.y_fixed + n * coding.alpha_fixed) % _MOD
+    err = abs(n) + 1
+    for num, den in ends:
+        # cyclic distance from phase to the endpoint, in units/den
+        delta = (phase * den - num) % (_MOD * den)
+        dist = min(delta, _MOD * den - delta)
+        if dist < err * den and (dist > 0 or n < 0):
+            raise PrecisionExhausted(f"phase at n={n} within {err} units of an interval endpoint")
+    t_a, t_b = thresholds
+    return int(t_a <= phase < t_b)
+
+
+def _at_least(high: np.ndarray, low: np.ndarray, t: int) -> np.ndarray:
+    # phase >= t, for phases given as (high, low) uint64 limbs and 0 <= t <= 2^128
+    if t == _MOD:
+        return np.zeros(high.shape, dtype=bool)
+    t_hi, t_lo = (np.uint64(x) for x in divmod(t, _LIMB))
+    return (high > t_hi) | ((high == t_hi) & (low >= t_lo))
+
+
 def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
     """Exact coding bits over [lo, hi).
 
@@ -138,31 +171,64 @@ def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
     n < 0 below it by less than |n| or above it by less than 1.  A bit is
     emitted only when no interval endpoint falls strictly inside that
     range, nor, for n < 0, exactly on the computed phase; otherwise
-    :class:`PrecisionExhausted` is raised.
+    :class:`PrecisionExhausted` is raised, at the first such n.
+
+    The computed phase (y + n*alpha) mod 2^128 itself is exact.  It is
+    carried as a high and a low uint64 limb, in chunks of ``_CHUNK``
+    positions: p(start) + i*alpha, with p(start) from Python ints and
+    i*alpha from wrapping limb products, a 32-bit-half mulhi and the
+    carry.  The bit is phase >= ceil(a 2^128) and phase < ceil(b 2^128),
+    compared limb by limb.  With E = max |n| + 1 over the window and
+    margin = floor(E / 2^64) + 1, a position whose high limb is more than
+    margin high-limb units (2^64 units each) from each endpoint's high
+    limb lies more than margin 2^64 > E units from every endpoint, so
+    its limb bit stands.  Every other position falls back to the big-int
+    rule above, in ascending n, so the first PrecisionExhausted is the
+    same as a position-by-position scan's.  Raises
+    :class:`WindowTooLarge` before any allocation when the window exceeds
+    ``sieve.MAX_WINDOW_BITS``.
     """
     if hi <= lo:
         raise ValueError("empty window")
-    a, b = coding.interval
+    if hi - lo > sieve.MAX_WINDOW_BITS:
+        raise WindowTooLarge(f"window of {hi - lo} bits exceeds budget {sieve.MAX_WINDOW_BITS}")
     # endpoint positions as exact fractions of the circle, cross-multiplied
-    ends = [(f.numerator * _MOD, f.denominator) for f in (a, b)]
+    ends = [(f.numerator * _MOD, f.denominator) for f in coding.interval]
+    thresholds = [-(-num // den) for num, den in ends]
+    # the endpoints' high limbs; endpoint 1 sits on 0 of the circle
+    end_hi = [np.uint64(num // den % _MOD >> 64) for num, den in ends]
+    # a high-limb distance d > margin puts the phase more than
+    # (d - 1) 2^64 >= margin 2^64 > |n| + 1 units from the endpoint
+    margin = ((max(abs(lo), abs(hi - 1)) + 1) >> 64) + 1
+    i = np.arange(min(_CHUNK, hi - lo), dtype=np.uint64)
+    alpha_hi, alpha_lo = divmod(coding.alpha_fixed, _LIMB)
+    alpha_lo1, alpha_lo0 = (np.uint64(x) for x in divmod(alpha_lo, 1 << 32))
+    # i * alpha mod 2^128 for i < 2^32: low limb wraps, high limb adds
+    # mulhi(i, alpha_lo) from 32-bit halves (no partial sum passes 2^64)
+    step_lo = i * np.uint64(alpha_lo)
+    step_hi = i * np.uint64(alpha_hi) + (
+        (i * alpha_lo1 + (i * alpha_lo0 >> np.uint64(32))) >> np.uint64(32)
+    )
     bits = np.empty(hi - lo, dtype=np.uint8)
-    for i, n in enumerate(range(lo, hi)):
-        phase = (coding.y_fixed + n * coding.alpha_fixed) % _MOD
-        err = abs(n) + 1
-        for num, den in ends:
-            # cyclic distance from phase to the endpoint, in units/den
-            delta = (phase * den - num) % (_MOD * den)
-            dist = min(delta, _MOD * den - delta)
-            if dist < err * den and (dist > 0 or n < 0):
-                raise PrecisionExhausted(
-                    f"phase at n={n} within {err} units of an interval endpoint"
-                )
-        inside = (
-            phase * a.denominator >= a.numerator * _MOD
-            and phase * b.denominator < b.numerator * _MOD
+    for start in range(lo, hi, _CHUNK):
+        size = min(_CHUNK, hi - start)
+        p_hi, p_lo = (
+            np.uint64(x) for x in divmod((coding.y_fixed + start * coding.alpha_fixed) % _MOD, _LIMB)
         )
-        bits[i] = 1 if inside else 0
-    return BinaryWord(bits, lo)
+        low = step_lo[:size] + p_lo
+        high = step_hi[:size] + p_hi + (low < p_lo)
+        out = bits[start - lo : start - lo + size]
+        out[:] = _at_least(high, low, thresholds[0]) & ~_at_least(high, low, thresholds[1])
+        if margin >= 1 << 63:  # the error spans half the circle
+            near = np.ones(size, dtype=bool)
+        else:
+            near = np.zeros(size, dtype=bool)
+            for e in end_hi:
+                near |= high - e + np.uint64(margin) <= np.uint64(2 * margin)
+        for j in np.flatnonzero(near).tolist():
+            out[j] = _exact_bit(coding, start + j, ends, thresholds)
+    bits.setflags(write=False)
+    return BinaryWord._views([bits], [int(lo)])[0]
 
 
 def collect_blocks(coding: RotationCoding, n: int) -> set[str]:
@@ -170,23 +236,26 @@ def collect_blocks(coding: RotationCoding, n: int) -> set[str]:
 
     Doubles the scanned orbit length, from 64 n bits, until the block set
     is stable across two consecutive doublings; raises NotSaturated when
-    the next doubling would pass ``MAX_ORBIT_BITS``.
+    the next doubling would pass ``MAX_ORBIT_BITS``.  Blocks are kept as
+    integer codes and only the distinct ones are decoded.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     length = 64 * n
-    text = sturmian_window(coding, 0, length).to_string()
-    blocks = {text[i : i + n] for i in range(length - n + 1)}
+    bits = sturmian_window(coding, 0, length).bits
+    codes = set(np.unique(_block_codes(bits[None], n)).tolist())
     stable = 0
     while stable < 2:
         if 2 * length > MAX_ORBIT_BITS:
             raise NotSaturated(f"block count still growing at orbit length {length}")
-        text += sturmian_window(coding, length, 2 * length).to_string()
+        # the last n - 1 bits start the blocks that cross into the new half
+        more = sturmian_window(coding, length, 2 * length).bits
+        bits = np.concatenate([bits[len(bits) - n + 1 :], more])
         length *= 2
-        before = len(blocks)
-        blocks.update(text[i : i + n] for i in range(length - n + 1))
-        stable = stable + 1 if len(blocks) == before else 0
-    return blocks
+        before = len(codes)
+        codes.update(np.unique(_block_codes(bits[None], n)).tolist())
+        stable = stable + 1 if len(codes) == before else 0
+    return {format(code, f"0{n}b") for code in codes}
 
 
 def rotation_complexity(coding: RotationCoding, n_max: int) -> list[int]:
@@ -251,10 +320,11 @@ class PeriodicHereditarySystem:
         """The periodic concatenation restricted to [lo, hi)."""
         if hi <= lo:
             raise ValueError("empty window")
-        if hi - lo > MAX_WINDOW_BITS:
+        if hi - lo > sieve.MAX_WINDOW_BITS:
             raise WindowTooLarge(f"window of {hi - lo} bits exceeds budget")
         c = len(self.block)
-        idx = (np.arange(lo, hi) - self.block.offset) % c
+        # reduce the start in Python, so coordinates past int64 index too
+        idx = (np.arange(hi - lo) + (lo - self.block.offset) % c) % c
         return BinaryWord(self.block.bits[idx], lo)
 
 
@@ -328,14 +398,14 @@ def transitive_closure_point(
     every word dominated by the current prefix, both in lexicographic
     order.  ``blocks_of(n)`` must yield lexicographically and lazily; it
     is consumed only until ``length`` is reached.  Deterministic given
-    the catalogue order; truncated to ``length``, which ``MAX_WINDOW_BITS``
+    the catalogue order; truncated to ``length``, which ``sieve.MAX_WINDOW_BITS``
     caps.  Raises :class:`BudgetExceeded` when ``MAX_STAGES`` stages fall
     short of it.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    if length > MAX_WINDOW_BITS:
-        raise WindowTooLarge(f"length {length} exceeds budget {MAX_WINDOW_BITS}")
+    if length > sieve.MAX_WINDOW_BITS:
+        raise WindowTooLarge(f"length {length} exceeds budget {sieve.MAX_WINDOW_BITS}")
     if length == 0:
         return BinaryWord(np.zeros(0, dtype=np.uint8))
     if h_bits <= 0:
@@ -388,8 +458,8 @@ def minimal_subset_variant(
     word = system.window(lo, hi)
     c = len(system.block)
     first, last = lo // c, (hi - 1) // c
-    n = np.arange(lo, hi) // c
-    bits = word.bits.copy()
+    # block indices as offsets from first, which stay small past int64
+    zeroed = np.zeros(last - first + 1, dtype=bool)
     P = 1
     for k, p in enumerate(primes, start=1):
         P *= p
@@ -397,8 +467,12 @@ def minimal_subset_variant(
         # distance faster than k moves it, so no later product can zero n
         if P > max(abs(first - k + 1), abs(last - k + 1)):
             break
-        bits[(n % P == k - 1) & (n != k - 1)] = 0
-    return BinaryWord(bits, lo)
+        hit = np.zeros_like(zeroed)
+        hit[(k - 1 - first) % P :: P] = True
+        if 0 <= k - 1 - first < len(hit):
+            hit[k - 1 - first] = False
+        zeroed |= hit
+    return BinaryWord(np.where(zeroed[(np.arange(hi - lo) + lo % c) // c], 0, word.bits), lo)
 
 
 def close_alpha_block_containment(alpha, beta, n: int) -> bool:

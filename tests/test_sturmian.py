@@ -4,9 +4,12 @@ import math
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bfree.admissibility import admissible_words
 from bfree.core import BinaryWord, validate_bset
@@ -37,6 +40,7 @@ from bfree.sturmian import (
     transitive_closure_point,
     two_mme_system,
 )
+from rotation_oracle import sturmian_window_loop
 
 GOLDEN = RotationCoding.golden()
 
@@ -99,6 +103,89 @@ class TestRotationCoding:
         w = sturmian_window(GOLDEN, -5, 5)
         assert len(w) == 10 and w.offset == -5
 
+    def test_window_budget(self, monkeypatch):
+        # read at call time, and refused before the bits are allocated
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 100)
+        assert len(sturmian_window(GOLDEN, 10**20, 10**20 + 100)) == 100
+        monkeypatch.setattr("bfree.sturmian.np.empty", None)
+        with pytest.raises(WindowTooLarge):
+            sturmian_window(GOLDEN, -50, 51)
+
+    @pytest.mark.parametrize(
+        "coding, lo, hi",
+        [
+            (GOLDEN, 0, 20000),
+            (GOLDEN, 10**6, 10**6 + 5000),
+            (GOLDEN, -5000, 5000),
+            (GOLDEN, 10**20, 10**20 + 3000),
+            (GOLDEN, 2**64 - 1500, 2**64 + 1500),
+            (RotationCoding.from_real(Fraction(317, 347) + Fraction(1, 10**9)), 0, 20000),
+            (RotationCoding.golden(interval=(Fraction(0), Fraction(1))), -70000, 70000),
+        ],
+    )
+    def test_matches_loop_across_chunks(self, coding, lo, hi):
+        assert sturmian_window(coding, lo, hi) == sturmian_window_loop(coding, lo, hi)
+
+
+_M = 1 << 128
+
+
+@st.composite
+def _fixed_near_rational(draw):
+    # a 128-bit fixed-point value, often a few units (or 2^64 units) off a
+    # small rational, so that phases land near interval endpoints
+    base = draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+    delta = draw(
+        st.one_of(
+            st.integers(-4, 4),
+            st.integers(-(2**66), 2**66),
+            st.integers(0, _M - 1),
+        )
+    )
+    return (base.numerator * _M // base.denominator + delta) % _M
+
+
+def _outcome(coder, coding, lo, hi):
+    try:
+        return coder(coding, lo, hi).bits.tobytes()
+    except PrecisionExhausted as exc:
+        return str(exc)  # names the first n
+
+
+class TestLimbCoderProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=_fixed_near_rational(),
+        y=_fixed_near_rational(),
+        ends=st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=8),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        ),
+        base=st.sampled_from([0, -300, 2**64 - 150, -(2**64) - 150, 10**20, 2**70, 2**127, -(2**128)]),
+        shift=st.integers(-200, 200),
+        size=st.integers(1, 300),
+        chunk=st.integers(1, 64),
+    )
+    # the low limb carries at n = 6, where the phase lies 2 units under 1/2
+    @example(
+        alpha=(3 << 64) | (1 << 64) - 1,
+        y=((1 << 127) - 2 - 6 * ((3 << 64) | (1 << 64) - 1)) % _M,
+        ends=[Fraction(0), Fraction(1, 2)],
+        base=0,
+        shift=5,
+        size=3,
+        chunk=64,
+    )
+    def test_limb_coder_matches_loop(self, alpha, y, ends, base, shift, size, chunk):
+        # equal bits, or PrecisionExhausted at the same n with the same message
+        coding = RotationCoding(alpha or 1, y, tuple(sorted(ends)))
+        lo = base + shift
+        with mock.patch("bfree.sturmian._CHUNK", chunk):
+            got = _outcome(sturmian_window, coding, lo, lo + size)
+        assert got == _outcome(sturmian_window_loop, coding, lo, lo + size)
+
 
 class TestRotationComplexity:
     def test_two_symbols(self):
@@ -113,6 +200,12 @@ class TestRotationComplexity:
         text = sturmian_window(GOLDEN, 0, 8192).to_string()
         a = collect_blocks(GOLDEN, 2)
         assert a == {text[i : i + 2] for i in range(8191)} and len(a) <= 6
+
+    @pytest.mark.parametrize("n", [1, 7, 62, 63, 70])
+    def test_blocks_are_the_sliced_orbit(self, n):
+        # codes of 63 bits and more are Python ints
+        text = sturmian_window(GOLDEN, 0, 1 << 15).to_string()
+        assert collect_blocks(GOLDEN, n) == {text[i : i + n] for i in range(len(text) - n + 1)}
 
     def test_not_saturated(self, monkeypatch):
         monkeypatch.setattr("bfree.sturmian.MAX_ORBIT_BITS", 256)
@@ -154,6 +247,14 @@ class TestPeriodicHereditarySystem:
     def test_window_wraps(self):
         system = PeriodicHereditarySystem(BinaryWord.from_string("101"))
         assert system.window(-2, 4).to_string() == "011011"
+
+    @pytest.mark.parametrize("lo", [10**20, -(10**20) - 5, 2**63 - 4])
+    def test_window_past_int64(self, lo):
+        for system in (*two_mme_system(), PeriodicHereditarySystem(BinaryWord.from_string("110", -5))):
+            block, c = system.block, len(system.block)
+            expected = [block.bits[(pos - block.offset) % c] for pos in range(lo, lo + 20)]
+            w = system.window(lo, lo + 20)
+            assert w.offset == lo and w.bits.tolist() == expected
 
 
 class TestTwoMME:
@@ -333,6 +434,25 @@ class TestMinimalSubsetVariant:
             w = minimal_subset_variant(system, primes, lo, hi)
             assert w.offset == lo
             assert np.array_equal(w.bits, _zeroed_by_position(system, primes, lo, hi))
+
+    def test_matches_position_loop_past_int64(self):
+        rng = random.Random(6)
+        blocks = ["1", "10", "101001000", "101000100"]
+        # products of these land on block indices near 10^20 / c
+        pool = [2, 3, 5, 10**20 // 9 + 1, 10**20 // 2 + 3, 10**20 + 39]
+        for _ in range(300):
+            block = rng.choice(blocks)
+            system = PeriodicHereditarySystem(BinaryWord.from_string(block, rng.randrange(-9, 10)))
+            primes = sorted(rng.sample(pool, rng.randrange(0, 4)))
+            lo = rng.choice([1, -1]) * 10**20 + rng.randrange(-400, 400)
+            hi = lo + rng.randrange(1, 500)
+            w = minimal_subset_variant(system, primes, lo, hi)
+            assert w.offset == lo
+            assert np.array_equal(w.bits, _zeroed_by_position(system, primes, lo, hi))
+        # block index 10^20 + 39 = P itself is zeroed, its neighbours are not
+        one = PeriodicHereditarySystem(BinaryWord.from_string("1"))
+        w = minimal_subset_variant(one, [10**20 + 39], 10**20 + 30, 10**20 + 50)
+        assert w.to_string() == "1" * 9 + "0" + "1" * 10
 
     def test_zeroes_even_blocks(self):
         a, _ = two_mme_system()
