@@ -38,7 +38,7 @@ import numpy as np
 from .admissibility import _hit_residues
 from .core import BinaryWord, BSet, CylinderSpec
 from .errors import EmptySupport, LengthMismatch, TooManyZeros
-from .sieve import SAProfile, _strike_rows, _window
+from .sieve import SAProfile, _check_window, _sieve
 
 __all__ = [
     "GENERATOR_ID",
@@ -151,7 +151,7 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    block = _window(lo, hi, rows=count)
+    _check_window(lo, hi, rows=count)
     rngs = [
         np.random.Generator(np.random.Philox(key=(int(seed) << 64) | c))
         for c in range(-(-count // CHUNK))
@@ -162,7 +162,7 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
             omegas[c * CHUNK : (c + 1) * CHUNK, k] = rng.integers(0, m, size=CHUNK)
     omegas = omegas[:count]
     omegas.setflags(write=False)
-    _strike_rows(block, lo, moduli, classes, omegas)
+    block = _sieve(lo, hi, moduli, classes, omegas)
     if p != 1:
         flat, length = block.reshape(-1), hi - lo
         for c, rng in enumerate(rngs):
@@ -296,6 +296,20 @@ def _block_codes(block: np.ndarray, n: int) -> np.ndarray:
     return code
 
 
+def _distinct_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of ``codes`` and how often each occurs.
+
+    ``np.unique(codes, return_counts=True)`` by one sort, for int64 and
+    object codes alike, without the ``numpy.ma`` import that ``np.unique``
+    costs on first use.
+    """
+    flat = np.sort(codes, axis=None)
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    starts = np.flatnonzero(first)
+    return flat[starts], np.diff(starts, append=flat.size)
+
+
 def empirical_block_distribution(batch: SampleBatch, n: int) -> dict[str, float]:
     """Frequencies of all n-sub-words across every word and position."""
     if n < 1:
@@ -307,7 +321,7 @@ def empirical_block_distribution(batch: SampleBatch, n: int) -> dict[str, float]
         by_length.setdefault(len(w), []).append(w.bits)
     counts: dict[str, int] = {}
     for rows in by_length.values():
-        codes, freqs = np.unique(_block_codes(np.stack(rows), n), return_counts=True)
+        codes, freqs = _distinct_counts(_block_codes(np.stack(rows), n))
         for code, c in zip(codes.tolist(), freqs.tolist()):
             key = format(code, f"0{n}b")
             counts[key] = counts.get(key, 0) + c

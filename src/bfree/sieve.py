@@ -1,10 +1,13 @@
 """Windowed generation of multiple-free indicator sequences.
 
-Windows are produced by a segmented residue sieve: allocate the window as
-ones, then strike each forbidden residue class by strided assignment.
-Work is O(sum window/b_k), so 10^8-size windows stay feasible.  One
-kernel strikes a whole (rows, L) block of codings at once; a single
-window is its one-row case.
+Windows are produced by a wheel-prefilled residue sieve.  The smallest
+moduli, while their product P stays at most min(2^16, L // 64), form the
+wheel: their forbidden classes are struck once into a P-column block of
+ones, which is P-periodic in the position and so is tiled across the
+window.  Each class of the remaining moduli is then struck by strided
+assignment.  Work is O(L + sum over the other moduli of s_k L / b_k), so
+10^8-size windows stay feasible.  One kernel strikes a whole (rows, L)
+block of codings at once; a single window is its one-row case.
 """
 
 from __future__ import annotations
@@ -31,43 +34,80 @@ __all__ = [
 # Memory budget for the bits of one window or one batch of windows.
 MAX_WINDOW_BITS = 2**30
 
+# The wheel's period P is at most min(_WHEEL_MAX, L // _WHEEL_REPEATS): P
+# columns stay cache-resident, and tiling pays only once the window repeats
+# the period many times (short sampler rows then never engage it).
+_WHEEL_MAX = 2**16
+_WHEEL_REPEATS = 64
 
-def _window(lo: int, hi: int, rows: int = 1) -> np.ndarray:
-    # A (rows, hi - lo) block of ones, refused before allocation past the budget.
+
+def _check_window(lo: int, hi: int, rows: int = 1) -> None:
+    # Refuse an empty window, then a block past the budget, before any work.
     if hi <= lo:
         raise ValueError(f"empty window [{lo}, {hi})")
     if rows * (hi - lo) > MAX_WINDOW_BITS:
         raise WindowTooLarge(f"{rows} x {hi - lo} window bits exceed budget {MAX_WINDOW_BITS}")
-    return np.ones((rows, hi - lo), dtype=np.uint8)
 
 
 def _strike_rows(block: np.ndarray, lo: int, moduli, classes, omegas: np.ndarray) -> None:
     """Zero ``block[i, n - lo]`` wherever (omegas[i, k] + n) mod b_k lies in classes[k].
 
-    ``block`` is a (rows, L) uint8 array of ones over [lo, lo + L) and
-    ``omegas`` a (rows, K) integer array of odometer coordinates.  Per
-    modulus the rows are grouped by coordinate, and each (group, class)
-    is one strided assignment, so the work is O(rows * sum_k s_k L / b_k)
-    and never O(rows * L * K).
+    ``block`` is a (rows, L) uint8 array over [lo, lo + L) and ``omegas`` a
+    (rows, K) integer array of odometer coordinates.  Per modulus the rows
+    are grouped by coordinate (one group when there is one row), and each
+    (group, class) is one strided assignment, so the work is
+    O(rows * sum_k s_k L / b_k) and never O(rows * L * K).
     """
     if not len(block):
         return
     for k, (b, ak) in enumerate(zip(moduli, classes)):
         col = omegas[:, k]
-        order = np.argsort(col, kind="stable")
-        ranked = col[order]
-        cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(col)]
-        for start, stop in zip(cuts, cuts[1:]):
-            rows = slice(None) if stop - start == len(col) else order[start:stop]
-            r = int(ranked[start])
+        if len(col) == 1:
+            groups = [(slice(None), col[0])]
+        else:
+            order = np.argsort(col, kind="stable")
+            ranked = col[order]
+            cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(col)]
+            groups = [
+                (slice(None) if stop - start == len(col) else order[start:stop], ranked[start])
+                for start, stop in zip(cuts, cuts[1:])
+            ]
+        for rows, r in groups:
+            r = int(r)
             for a in ak:
                 block[rows, (a - r - lo) % b :: b] = 0
 
 
+def _sieve(lo: int, hi: int, moduli, classes, omegas: np.ndarray) -> np.ndarray:
+    """Writable (rows, hi - lo) uint8 codings, one row per row of ``omegas``.
+
+    Bit (i, n - lo) is 1 iff (omegas[i, k] + n) mod b_k avoids classes[k]
+    for every k.  The wheel moduli are struck into a (rows, P) block that
+    is tiled across the window; :func:`_strike_rows` strikes the rest.
+    """
+    rows, length = len(omegas), hi - lo
+    _check_window(lo, hi, rows)
+    cap, period, w = min(_WHEEL_MAX, length // _WHEEL_REPEATS), 1, 0
+    while w < len(moduli) and period * moduli[w] <= cap:
+        period *= moduli[w]
+        w += 1
+    if w == 0:
+        block = np.ones((rows, length), dtype=np.uint8)
+    else:
+        wheel = np.ones((rows, period), dtype=np.uint8)
+        _strike_rows(wheel, lo, moduli[:w], classes[:w], omegas[:, :w])
+        block = np.empty((rows, length), dtype=np.uint8)
+        tiled = length - length % period
+        # splitting the unit-stride column axis is always a view, never a copy
+        block[:, :tiled].reshape(rows, tiled // period, period)[...] = wheel[:, None, :]
+        block[:, tiled:] = wheel[:, : length - tiled]
+    _strike_rows(block, lo, moduli[w:], classes[w:], omegas[:, w:])
+    return block
+
+
 def _coding(moduli, classes, residues, lo: int, hi: int) -> BinaryWord:
-    # The one-row case of the kernel; object dtype keeps coordinates of any size.
-    block = _window(lo, hi)
-    _strike_rows(block, lo, moduli, classes, np.array([residues], dtype=object))
+    # The one-row case of the sieve; object dtype keeps coordinates of any size.
+    block = _sieve(lo, hi, moduli, classes, np.array([residues], dtype=object))
     block.setflags(write=False)
     return BinaryWord._views(block, [int(lo)])[0]
 

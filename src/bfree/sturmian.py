@@ -37,7 +37,7 @@ from .errors import (
     TargetTooLong,
     WindowTooLarge,
 )
-from .measures import _block_codes, _sample
+from .measures import _block_codes, _distinct_counts, _sample
 
 __all__ = [
     "RotationCoding",
@@ -243,7 +243,7 @@ def collect_blocks(coding: RotationCoding, n: int) -> set[str]:
         raise ValueError("n must be >= 1")
     length = 64 * n
     bits = sturmian_window(coding, 0, length).bits
-    codes = set(np.unique(_block_codes(bits[None], n)).tolist())
+    codes = set(_distinct_counts(_block_codes(bits[None], n))[0].tolist())
     stable = 0
     while stable < 2:
         if 2 * length > MAX_ORBIT_BITS:
@@ -253,7 +253,7 @@ def collect_blocks(coding: RotationCoding, n: int) -> set[str]:
         bits = np.concatenate([bits[len(bits) - n + 1 :], more])
         length *= 2
         before = len(codes)
-        codes.update(np.unique(_block_codes(bits[None], n)).tolist())
+        codes.update(_distinct_counts(_block_codes(bits[None], n))[0].tolist())
         stable = stable + 1 if len(codes) == before else 0
     return {format(code, f"0{n}b") for code in codes}
 

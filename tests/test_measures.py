@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from bfree.measures import (
     GENERATOR_ID,
     ProductMeasureSpec,
     SampleBatch,
+    _sample,
     embed,
     empirical_block_distribution,
     mask_batch,
@@ -245,6 +250,32 @@ class TestSamplerContractV2:
         with pytest.raises(WindowTooLarge):
             sample_product(ProductMeasureSpec(bset, Fraction(1, 2)), 0, 2, 10**12, seed=0)
 
+    def test_window_errors_before_any_draw(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew before the window checks")
+
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 3 * 64 * 900)
+        monkeypatch.setattr(np.random, "Philox", draw)
+        mods, classes = (4, 9, 25), [(0,)] * 3
+        for lo, hi, count, error in [
+            (0, 64 * 900, -1, ValueError),
+            (5, 5, 3, ValueError),
+            (9, 2, 3, ValueError),
+            (0, 64 * 900, 4, WindowTooLarge),
+            (-(2**70), -(2**70) + 3 * 64 * 900 + 1, 1, WindowTooLarge),
+        ]:
+            with pytest.raises(error):
+                _sample(mods, classes, mods, Fraction(1, 2), lo, hi, count, 0)
+
+    def test_wheel_blocks_are_read_only(self):
+        bset = validate_bset([4, 9, 25])
+        for p in (Fraction(1), Fraction(1, 2)):
+            block, omegas = _sample(bset.moduli, [(0,)] * 3, bset.moduli, p, 0, 64 * 900 + 3, 3, 5)
+            assert not block.flags.writeable and not omegas.flags.writeable
+        batch = sample_mirsky(bset, 0, 64 * 900 + 3, 2, seed=1)
+        with pytest.raises(ValueError):
+            batch.words[1].bits[0] = 1
+
     def test_words_are_read_only(self):
         batch = sample_mirsky(validate_bset([2, 3]), 0, 8, 4, seed=1)
         with pytest.raises(ValueError):
@@ -423,6 +454,26 @@ class TestEmpiricalBlockDistribution:
                 empirical_block_distribution(batch, n)
             return
         assert empirical_block_distribution(batch, n) == sliced_frequencies(texts, n)
+
+    def test_counting_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use, a cold cost of about 16 ms
+        code = (
+            "import sys\n"
+            "from bfree.measures import SampleBatch, empirical_block_distribution\n"
+            "from bfree.core import BinaryWord\n"
+            "from bfree.sturmian import RotationCoding, collect_blocks\n"
+            "batch = SampleBatch((BinaryWord.from_string('0110' * 20),), 0)\n"
+            "assert empirical_block_distribution(batch, 3)\n"
+            "assert empirical_block_distribution(batch, 70)\n"
+            "assert collect_blocks(RotationCoding.golden(), 4)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_blocks_longer_than_an_int64(self):
         rng = np.random.default_rng(8)
