@@ -106,10 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--offset", type=int, default=0)
 
-    for name in ("include", "witness"):
-        p = cmd(name)
-        p.add_argument("--bset", required=True)
-        p.add_argument("--other", required=True)
+    p = cmd("include", aliases=["witness"])
+    p.add_argument("--bset", required=True)
+    p.add_argument("--other", required=True)
 
     p = cmd("construct-admissible")
     p.add_argument("--small", default="")
@@ -220,11 +219,9 @@ def _run(args) -> dict:
                 out.append({"ambiguous": sorted(cand)})
         return {"theta": out}
     if c in ("include", "witness"):
-        a, b = _parse_bset(args.bset), _parse_bset(args.other)
-        verdict = inclusion.includes(a, b)
-        witness = inclusion.inclusion_witness(a, b)
+        witness = inclusion.inclusion_witness(_parse_bset(args.bset), _parse_bset(args.other))
         return {
-            "includes": verdict,
+            "includes": witness is None,
             "witness": json.loads(witness.to_json()) if witness is not None else None,
         }
     if c == "construct-admissible":

@@ -16,7 +16,7 @@ from itertools import product
 
 from . import sieve
 from .core import BinaryWord, BSet, OdometerPoint
-from .errors import DivisiblePrecondition, NotCoprimeToC, SearchBudgetExceeded, WindowTooLarge
+from .errors import DivisiblePrecondition, NotCoprimeToC, SearchBudgetExceeded
 from .sieve import phi_window
 
 __all__ = [
@@ -72,9 +72,7 @@ def construct_admissible(small_moduli, b_prime: int) -> set[int]:
     for m in small:
         if b_prime % m == 0:
             raise DivisiblePrecondition(f"{m} divides {b_prime}")
-    length = b_prime * (1 + math.prod(small)) + 1
-    if length > sieve.MAX_WINDOW_BITS:
-        raise WindowTooLarge(f"witness length {length} exceeds budget {sieve.MAX_WINDOW_BITS}")
+    sieve._check_window(0, b_prime * (1 + math.prod(small)) + 1)
     out = set()
     for i in range(1, b_prime + 1):
         e = math.prod(m for m in small if i % m != 0)
@@ -127,18 +125,19 @@ def word_level_includes(bset_a: BSet, bset_b: BSet) -> bool:
 def inclusion_witness(bset_a: BSet, bset_b: BSet) -> BinaryWord | None:
     """A word admissible for A but not for B, or None when A is included.
 
-    None comes straight from the divisibility criterion of :func:`includes`.
-    Otherwise the witness support is the explicit b'-covering construction
-    of :func:`construct_admissible` at the first B-modulus b' no A-modulus
-    divides: it misses residue 0 of every A-modulus and covers Z/b'.  The
-    word has length b' * (1 + prod A) + 1, under the budget that
+    One pass looks for the first B-modulus b' that no A-modulus divides;
+    there is none exactly when :func:`includes` holds, and then the answer
+    is None.  Otherwise the witness support is the explicit b'-covering
+    construction of :func:`construct_admissible`: it misses residue 0 of
+    every A-modulus and covers Z/b'.  The word has length
+    b' * (1 + prod A) + 1, under the budget that
     :func:`construct_admissible` enforces.
     """
-    if includes(bset_a, bset_b):
-        return None
     b_prime = next(
-        bp for bp in bset_b.moduli if all(bp % b != 0 for b in bset_a.moduli)
+        (bp for bp in bset_b.moduli if all(bp % b != 0 for b in bset_a.moduli)), None
     )
+    if b_prime is None:
+        return None
     support = construct_admissible(bset_a.moduli, b_prime)
     return BinaryWord.from_support(support, 0, max(support) + 1)
 

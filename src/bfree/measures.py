@@ -26,7 +26,6 @@ independent samples.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -132,13 +131,6 @@ class SampleBatch:
         return json.dumps(
             {"schema": 1, "seed": self.seed, "generator": self.generator, "spec": self.spec}
         )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("index,offset,bits\n")
-        for i, w in enumerate(self.words):
-            buf.write(f"{i},{w.offset},{w.to_string()}\n")
-        return buf.getvalue()
 
 
 def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: int, seed: int):

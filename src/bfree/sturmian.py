@@ -9,6 +9,9 @@ whose high limb is far from every endpoint's high limb gets its bit from
 a limb comparison, and only the few near an endpoint go through the
 big-int error rule (the filter-then-exact pattern of Shewchuk, 1997).
 Block catalogues are sets of integer window codes, decoded once.
+A periodic point with minimal period c is the coding of the rotation
+on Z/c by its block's zero phases, so its windows, phase statistics and
+samples all come from the residue sieve (:mod:`bfree.sieve`).
 Hereditary-closure block counts use the dominated-enumeration identity
 (count words lying under some occurring block) and never materialize the
 closure.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable
@@ -188,10 +191,7 @@ def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
     :class:`WindowTooLarge` before any allocation when the window exceeds
     ``sieve.MAX_WINDOW_BITS``.
     """
-    if hi <= lo:
-        raise ValueError("empty window")
-    if hi - lo > sieve.MAX_WINDOW_BITS:
-        raise WindowTooLarge(f"window of {hi - lo} bits exceeds budget {sieve.MAX_WINDOW_BITS}")
+    sieve._check_window(lo, hi)
     # endpoint positions as exact fractions of the circle, cross-multiplied
     ends = [(f.numerator * _MOD, f.denominator) for f in coding.interval]
     thresholds = [-(-num // den) for num, den in ends]
@@ -302,30 +302,30 @@ def hereditary_entropy_estimate(coding: RotationCoding, n: int) -> float:
 class PeriodicHereditarySystem:
     """Hereditary closure of the periodic point repeating ``block``.
 
-    The block must be its own minimal period.
+    The block must be its own minimal period c.  The periodic point is
+    the sieve coding of the rotation on Z/c that forbids the block's zero
+    phases, {(i + offset) mod c : bit i of the block is 0}; that zero set
+    is computed once, and the block is minimal iff c is its minimal
+    translation period.
     """
 
     block: BinaryWord
+    _zeros: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.block)
-        if n == 0:
+        c = len(self.block)
+        if c == 0:
             raise NotMinimalPeriod("empty block")
-        text = self.block.to_string()
-        for d in range(1, n):
-            if n % d == 0 and text == text[:d] * (n // d):
-                raise NotMinimalPeriod(f"block repeats with period {d} < {n}")
+        offset, bits = self.block.offset, self.block.bits.tolist()
+        zeros = frozenset((i + offset) % c for i, bit in enumerate(bits) if not bit)
+        d = admissibility.minimal_translation_period(zeros, c)
+        if d < c:
+            raise NotMinimalPeriod(f"block repeats with period {d} < {c}")
+        object.__setattr__(self, "_zeros", zeros)
 
     def window(self, lo: int, hi: int) -> BinaryWord:
         """The periodic concatenation restricted to [lo, hi)."""
-        if hi <= lo:
-            raise ValueError("empty window")
-        if hi - lo > sieve.MAX_WINDOW_BITS:
-            raise WindowTooLarge(f"window of {hi - lo} bits exceeds budget")
-        c = len(self.block)
-        # reduce the start in Python, so coordinates past int64 index too
-        idx = (np.arange(hi - lo) + (lo - self.block.offset) % c) % c
-        return BinaryWord(self.block.bits[idx], lo)
+        return sieve._coding((len(self.block),), (self._zeros,), (0,), lo, hi)
 
 
 def two_mme_system() -> tuple[PeriodicHereditarySystem, PeriodicHereditarySystem]:
@@ -357,16 +357,15 @@ def mme_block_frequency(
     L = len(target)
     if L > 2 * c:
         raise TargetTooLong(f"target length {L} exceeds 2 * {c}")
-    t_bits = target.bits
-    total = Fraction(0)
-    for j in range(c):
-        window = system.window(j, j + L).bits
-        if np.any(t_bits > window):
-            continue
-        kept = int(t_bits.sum())
-        dropped = int(window.sum()) - kept
-        total += p**kept * (1 - p) ** dropped
-    return total / c
+    # the c phase windows [j, j + L) are the L-windows of [0, c + L - 1);
+    # correlations count, per phase, the target ones it covers and its ones
+    sieve._check_window(0, L)
+    bits = system.window(0, c + L - 1).bits.astype(np.int64)
+    kept = target.ones
+    covered = np.correlate(bits, target.bits.astype(np.int64))
+    ones = np.correlate(bits, np.ones(L, dtype=np.int64))
+    dropped = (ones[covered == kept] - kept).tolist()
+    return sum((p**kept * (1 - p) ** d for d in dropped), Fraction(0)) / c
 
 
 def sample_periodic_windows(
@@ -381,9 +380,8 @@ def sample_periodic_windows(
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    c, offset = len(system.block), system.block.offset
-    zeros = frozenset((i + offset) % c for i in np.flatnonzero(system.block.bits == 0).tolist())
-    return _sample((c,), (zeros,), (c,), p, 0, length, count, seed)[0]
+    c = len(system.block)
+    return _sample((c,), (system._zeros,), (c,), p, 0, length, count, seed)[0]
 
 
 def transitive_closure_point(

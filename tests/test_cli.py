@@ -93,6 +93,13 @@ class TestGoldenOutputs:
         _, out, _ = run(capsys, "witness", "--bset", "2", "--other", "4")
         assert json.loads(out)["witness"] is None
 
+    @pytest.mark.parametrize("bset, other", [("2", "4"), ("2,3", "5")])
+    def test_witness_is_an_alias_of_include(self, capsys, bset, other):
+        # one included pair, one with a separating word
+        _, included, _ = run(capsys, "include", "--bset", bset, "--other", other)
+        _, witness, _ = run(capsys, "witness", "--bset", bset, "--other", other)
+        assert witness == included
+
     def test_construct_admissible(self, capsys):
         _, out, _ = run(capsys, "construct-admissible", "--small", "2,3", "--bprime", "5")
         assert json.loads(out)["set"] == [13, 17, 19, 31, 35]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfree.cli import main
 from bfree.core import BinaryWord, CylinderSpec, OdometerPoint, validate_bset
 from bfree.errors import EmptySupport, LengthMismatch, TooManyZeros, WindowTooLarge
 from bfree.measures import (
@@ -185,11 +186,13 @@ class TestSamplers:
         assert meta["generator"] == GENERATOR_ID
         assert meta["spec"]["measure"] == "mirsky"
 
-    def test_csv_export(self):
+    def test_csv_export(self, capsys):
+        # the CLI's writer is the one batch CSV export
         batch = sample_mirsky(validate_bset([2]), 0, 2, 2, seed=0)
-        lines = batch.to_csv().strip().split("\n")
-        assert lines[0] == "index,offset,bits"
-        assert len(lines) == 3
+        argv = ["sample", "--measure", "mirsky", "--bset", "2", "--window", "0:2", "--count", "2"]
+        assert main([*argv, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines == ["index,bits", *(f"{i},{w.to_string()}" for i, w in enumerate(batch.words))]
 
 
 class TestSamplerContractV2:

@@ -239,10 +239,85 @@ class TestHereditaryClosure:
             hereditary_closure_count(iter(["1111", "1"]))
 
 
+def _string_period(text):
+    # reference: the least d dividing |text| with text a repetition of text[:d]
+    n = len(text)
+    return next(d for d in range(1, n + 1) if n % d == 0 and text == text[:d] * (n // d))
+
+
+def _periodic_bits(system, lo, hi):
+    # reference: the per-position gather, bit n = block[(n - offset) mod c]
+    block, c = system.block, len(system.block)
+    return [int(block.bits[(n - block.offset) % c]) for n in range(lo, hi)]
+
+
+def _phase_loop_frequency(system, target, p):
+    # reference: one window per phase j, summing the dominated phases' weights
+    c, t = len(system.block), target.bits.tolist()
+    total = Fraction(0)
+    for j in range(c):
+        window = _periodic_bits(system, j, j + len(t))
+        if all(a <= b for a, b in zip(t, window)):
+            kept = sum(t)
+            total += p**kept * (1 - p) ** (sum(window) - kept)
+    return total / c
+
+
+@st.composite
+def _minimal_systems(draw):
+    text = draw(st.text("01", min_size=1, max_size=13).filter(lambda t: _string_period(t) == len(t)))
+    return PeriodicHereditarySystem(BinaryWord.from_string(text, draw(st.integers(-50, 50))))
+
+
 class TestPeriodicHereditarySystem:
     def test_minimal_period_enforced(self):
         with pytest.raises(NotMinimalPeriod):
             PeriodicHereditarySystem(BinaryWord.from_string("101101"))
+
+    def test_period_matches_string_loop(self):
+        # every block of length up to 12: refused with the least period d, or built
+        for n in range(1, 13):
+            for bits in itertools.product("01", repeat=n):
+                text = "".join(bits)
+                d = _string_period(text)
+                block = BinaryWord.from_string(text, n - 6)
+                if d == n:
+                    assert PeriodicHereditarySystem(block).block == block
+                else:
+                    with pytest.raises(NotMinimalPeriod, match=rf"^block repeats with period {d} < {n}$"):
+                        PeriodicHereditarySystem(block)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        system=_minimal_systems(),
+        lo=st.one_of(
+            st.integers(-100, 100),
+            st.integers(2**63 - 2000, 2**63 + 2000),
+            st.integers(-(2**63) - 2000, -(2**63) + 2000),
+            st.integers(-(10**20), 10**20),
+        ),
+        extra=st.integers(0, 300),
+    )
+    def test_window_matches_gather(self, system, lo, extra):
+        # at least 64 c bits, so the sieve's wheel takes the period
+        hi = lo + 64 * len(system.block) + extra
+        w = system.window(lo, hi)
+        assert w.offset == lo and w.bits.tolist() == _periodic_bits(system, lo, hi)
+
+    def test_window_budget(self, monkeypatch):
+        system = two_mme_system()[0]
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 100)
+        assert len(system.window(10**20, 10**20 + 100)) == 100
+        # refused before the sieve allocates its block
+        monkeypatch.setattr("bfree.sieve.np.ones", None)
+        monkeypatch.setattr("bfree.sieve.np.empty", None)
+        with pytest.raises(WindowTooLarge):
+            system.window(-50, 51)
+
+    @pytest.mark.parametrize("lo, hi", [(5, 5), (5, 3)])
+    def test_empty_window(self, lo, hi):
+        with pytest.raises(ValueError, match="empty window"):
+            two_mme_system()[0].window(lo, hi)
 
     def test_window_wraps(self):
         system = PeriodicHereditarySystem(BinaryWord.from_string("101"))
@@ -296,6 +371,22 @@ class TestTwoMME:
             target = BinaryWord([mask >> i & 1 for i in range(9)])
             total += mme_block_frequency(a, target, Fraction(1, 2))
         assert total == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=_minimal_systems(), data=st.data())
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+    def test_frequency_matches_phase_loop(self, p, system, data):
+        c = len(system.block)
+        L = data.draw(st.integers(1, 2 * c))
+        # a thinned phase window, so that some phase dominates the target
+        j = data.draw(st.integers(0, c - 1))
+        mask = data.draw(st.lists(st.integers(0, 1), min_size=L, max_size=L))
+        target = BinaryWord([a & b for a, b in zip(_periodic_bits(system, j, j + L), mask)])
+        assert mme_block_frequency(system, target, p) == _phase_loop_frequency(system, target, p)
+
+    def test_empty_target(self):
+        with pytest.raises(ValueError, match="empty window"):
+            mme_block_frequency(two_mme_system()[0], BinaryWord([]), Fraction(1, 2))
 
     def test_target_too_long(self):
         a, _ = two_mme_system()
