@@ -7,6 +7,7 @@ patterns of the associated multiple-free subshift.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,8 +28,9 @@ __all__ = [
     "minimal_translation_period",
 ]
 
-# Transfer-state counting keeps one hit-residue subset per modulus; the
-# state space is bounded by prod 2^{b_k}, so cap sum b_k.
+# Block counting runs one inclusion–exclusion term per tuple of nonempty
+# missed-class sets, prod_{k<K} (2^{b_k} - 1) < 2^{sum b_k} of them, so
+# cap sum b_k.
 MAX_STATE_BITS = 24
 
 
@@ -60,11 +62,18 @@ def is_admissible(word: BinaryWord, bset: BSet) -> bool:
 def block_complexity(bset: BSet, n_max: int) -> list[int]:
     """Exact counts p_1..p_{n_max} of admissible words of each length.
 
-    Dynamic programming over equivalence classes of partial words: the
-    class of a prefix is its hit residues per modulus, packed into one int
-    (position residues are implicit in the step index).  Counts are exact
-    big integers; reachable for n in the thousands at small moduli where
-    naive 2^n enumeration is hopeless.
+    Inclusion–exclusion over missed residues.  A word whose hits mod b_k
+    are H_k misses a class mod b_k iff the sum, over nonempty C_k inside
+    Z/b_k minus H_k, of (-1)^{|C_k|+1} is 1 (it is 0 otherwise).  This is
+    expanded for every modulus but the largest, b_K.  A tuple
+    (C_1..C_{K-1}) keeps the positions whose residues avoid every C_k; if
+    n_r of those below m are r mod b_K, the words on them that miss a
+    class mod b_K number 2^{sum n_r} - prod_r (2^{n_r} - 1).  Each term is
+    advanced one kept position at a time and its signed increments are
+    summed into p_m.  There are prod_{k<K} (2^{b_k} - 1) terms, fewer once
+    tuples keeping the same positions are merged; a sum of moduli over
+    MAX_STATE_BITS is refused before any work.  Counts are exact big
+    integers.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -73,30 +82,71 @@ def block_complexity(bset: BSet, n_max: int) -> list[int]:
         raise StateSpaceTooLarge(
             f"sum of moduli {sum(mods)} exceeds budget {MAX_STATE_BITS}"
         )
-    # Bit offsets[k] + r of a state is set iff the prefix has a 1 at a position
-    # r mod b_k.  The bit after each field stays 0, so adding ``low`` (a 1 at
-    # each field's first bit) carries into ``spare`` iff some field is full.
-    offsets = [sum(mods[:k]) + k for k in range(len(mods))]
-    low = sum(1 << off for off in offsets)
-    spare = sum(1 << (off + b) for off, b in zip(offsets, mods))
-    steps = [
-        sum(1 << (off + r) for off, hit in zip(offsets, _hit_residues([i], mods)) for r in hit)
-        for i in range(min(n_max, bset.period))
-    ]
-    states: dict[int, int] = {0: 1}
-    counts: list[int] = []
-    for i in range(n_max):
-        step = steps[i % len(steps)]
-        # bit 0 at position i: state unchanged
-        nxt = states.copy()
-        for state, c in states.items():
-            # bit 1 at position i: insert i mod b_k everywhere
-            grown = state | step
-            if not (grown + low) & spare:
-                nxt[grown] = nxt.get(grown, 0) + c
-        states = nxt
-        counts.append(sum(states.values()))
-    return counts
+    if not mods:
+        return [2**n for n in range(1, n_max + 1)]
+    *rest, last = mods
+    # Kept positions repeat with period prod(rest), so a term is stored as
+    # the bitmask of its kept positions below ``width``.
+    width = min(math.prod(rest), n_max)
+    steps = [0] * n_max  # steps[i] = p_{i+1} - p_i
+    for kept, weight in _term_weights(rest, width).items():
+        if kept and weight:
+            _add_term(steps, weight, kept, width, last)
+    return list(itertools.accumulate(steps, initial=1))[1:]
+
+
+def _term_weights(rest: list[int], width: int) -> dict[int, int]:
+    """Net sign of the tuples (C_1..C_{K-1}) that keep each set of positions.
+
+    Keys are bitmasks of the positions in [0, width) whose residue mod
+    each b_k avoids C_k; tuples that keep the same positions are merged
+    by adding their signs prod (-1)^{|C_k|+1}.
+    """
+    everything = (1 << width) - 1
+    weights = {everything: 1}
+    for b in rest:
+        classes = [sum(1 << q for q in range(c, width, b)) for c in range(b)]
+        merged: dict[int, int] = {}
+        for missed in range(1, 1 << b):
+            keep = everything & ~sum(m for c, m in enumerate(classes) if missed >> c & 1)
+            sign = 1 if missed.bit_count() & 1 else -1
+            for kept, w in weights.items():
+                merged[kept & keep] = merged.get(kept & keep, 0) + sign * w
+        weights = merged
+    return weights
+
+
+def _add_term(steps: list[int], weight: int, kept: int, width: int, last: int) -> None:
+    """Add weight times one term's increments, at its kept positions, to steps.
+
+    The term counts 2^N - prod_r F_r words, where F_r = 2^{n_r} - 1 over
+    the n_r kept positions r mod ``last`` so far and N = sum n_r.
+    """
+    residues = []
+    while kept:
+        low = kept & -kept
+        residues.append(low.bit_length() - 1)
+        kept ^= low
+    factors = [0] * last
+    full = 0  # prod(factors), nonzero once every class has a kept position
+    words = 1  # 2^N
+    for base in range(0, len(steps), width):
+        for q in residues:
+            i = base + q
+            if i >= len(steps):
+                break
+            r = i % last
+            f = factors[r]
+            factors[r] = 2 * f + 1
+            if full:
+                grown = full + full + full // f  # times (2f + 1) / f
+            elif f or 0 in factors:  # a class still has no kept position
+                grown = 0
+            else:
+                grown = math.prod(factors)
+            steps[i] += weight * (words - grown + full)
+            full = grown
+            words <<= 1
 
 
 def admissible_words(bset: BSet, n: int):

@@ -42,6 +42,162 @@ def _word(args) -> BinaryWord:
     return BinaryWord.from_string(args.word, getattr(args, "offset", 0) or 0)
 
 
+def _eta(args) -> dict:
+    lo, hi = args.window
+    word = sieve.eta_window(_parse_bset(args.bset), lo, hi)
+    return {"word": json.loads(word.to_json())}
+
+
+def _phi(args) -> dict:
+    bset = _parse_bset(args.bset)
+    omega = OdometerPoint(bset, tuple(int(x) for x in args.omega.split(",")))
+    lo, hi = args.window
+    return {"word": json.loads(sieve.phi_window(omega, lo, hi).to_json())}
+
+
+def _admissible(args) -> dict:
+    return {"admissible": admissibility.is_admissible(_word(args), _parse_bset(args.bset))}
+
+
+def _complexity(args) -> dict:
+    p = admissibility.block_complexity(_parse_bset(args.bset), args.n)
+    h = admissibility.entropy_from_complexity(p)
+    return {"p_n": [str(x) for x in p], "h_n": h}
+
+
+def _entropy(args) -> dict:
+    if args.formula == "bfree":
+        report = entropy.htop_bfree(_parse_bset(args.bset))
+    elif args.formula == "product":
+        report = entropy.h_product_type(_parse_bset(args.bset), Fraction(args.p))
+    elif args.formula == "generalized":
+        report = entropy.htop_generalized(
+            _parse_profile(_parse_bset(args.bset), args.s, args.a)
+        )
+    else:
+        report = entropy.htop_periodic_hereditary(BinaryWord.from_string(args.block))
+    return json.loads(report.to_json())
+
+
+def _mirsky(args) -> dict:
+    bset = _parse_bset(args.bset)
+    entries = {}
+    if args.ones:
+        entries.update({int(x): 1 for x in args.ones.split(",")})
+    if args.zeros:
+        entries.update({int(x): 0 for x in args.zeros.split(",")})
+    value = measures.mixed_cylinder(bset, CylinderSpec(entries))
+    return {"probability": str(value), "float": float(value)}
+
+
+def _sample(args) -> dict:
+    bset = _parse_bset(args.bset)
+    lo, hi = args.window
+    if args.measure == "mirsky":
+        batch = measures.sample_mirsky(bset, lo, hi, args.count, args.seed)
+    elif args.measure in ("mme", "product"):
+        p = Fraction(1, 2) if args.measure == "mme" else Fraction(args.p)
+        batch = measures.sample_product(
+            measures.ProductMeasureSpec(bset, p), lo, hi, args.count, args.seed
+        )
+    else:
+        profile = _parse_profile(bset, args.s, args.a)
+        batch = measures.sample_generalized(
+            profile, Fraction(args.p), lo, hi, args.count, args.seed
+        )
+    return {
+        "metadata": json.loads(batch.metadata_json()),
+        "words": [w.to_string() for w in batch.words],
+    }
+
+
+def _spectrum(args) -> dict:
+    profile = admissibility.spectrum_profile(_word(args), _parse_bset(args.bset))
+    return {"profile": json.loads(profile.to_json())}
+
+
+def _theta(args) -> dict:
+    out = []
+    for cand in admissibility.theta_window(_word(args), _parse_bset(args.bset)):
+        if cand is None:
+            out.append(None)
+        elif len(cand) == 1:
+            out.append({"unique": next(iter(cand))})
+        else:
+            out.append({"ambiguous": sorted(cand)})
+    return {"theta": out}
+
+
+def _include(args) -> dict:
+    witness = inclusion.inclusion_witness(_parse_bset(args.bset), _parse_bset(args.other))
+    return {
+        "includes": witness is None,
+        "witness": json.loads(witness.to_json()) if witness is not None else None,
+    }
+
+
+def _construct_admissible(args) -> dict:
+    small = [int(x) for x in args.small.split(",")] if args.small else []
+    result = inclusion.construct_admissible(small, args.bprime)
+    return {"set": sorted(result)}
+
+
+def _density(args) -> dict:
+    est = inclusion.density_estimate(_parse_bset(args.bset), args.c, args.r, args.horizon)
+    return {"density": est}
+
+
+def _sturmian(args) -> dict:
+    a, b = (Fraction(x) for x in args.interval.split(":"))
+    if args.alpha == "golden":
+        coding = sturmian.RotationCoding.golden(Fraction(args.y), (a, b))
+    else:
+        coding = sturmian.RotationCoding.from_real(
+            Fraction(args.alpha), Fraction(args.y), (a, b)
+        )
+    lo, hi = args.window
+    return {"word": json.loads(sturmian.sturmian_window(coding, lo, hi).to_json())}
+
+
+def _counterexample(args) -> dict:
+    sys_a, sys_b = sturmian.two_mme_system()
+    p = Fraction(args.p)
+    target = sys_a.block
+    return {
+        "blocks": [sys_a.block.to_string(), sys_b.block.to_string()],
+        "entropies_bits": [
+            str(entropy.htop_periodic_hereditary(s.block).exact) for s in (sys_a, sys_b)
+        ],
+        "target": target.to_string(),
+        "frequencies": [
+            str(sturmian.mme_block_frequency(s, target, p)) for s in (sys_a, sys_b)
+        ],
+    }
+
+
+def _transitive(args) -> dict:
+    bset = _parse_bset(args.bset)
+
+    def blocks_of(n):
+        return admissibility.admissible_words(bset, n)
+
+    h = float(entropy.htop_bfree(bset).bits)
+    word = sturmian.transitive_closure_point(blocks_of, h, args.n1, args.length)
+    return {"word": json.loads(word.to_json())}
+
+
+def _squeeze(args) -> dict:
+    x = BinaryWord.from_string(args.x, args.offset)
+    z = BinaryWord.from_string(args.z, args.offset)
+    return {"word": json.loads(measures.squeeze(x, z).to_json())}
+
+
+def _embed(args) -> dict:
+    u = BinaryWord.from_string(args.u)
+    z = BinaryWord.from_string(args.z, args.offset)
+    return {"word": json.loads(measures.embed(u, z).to_json())}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS so the subparser does not overwrite a value given before it
@@ -51,29 +207,30 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bfree", parents=[common])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **kw):
+    def cmd(name, handler, **kw):
         p = sub.add_parser(name, parents=[common], **kw)
+        p.set_defaults(handler=handler)
         return p
 
-    p = cmd("eta")
+    p = cmd("eta", _eta)
     p.add_argument("--bset", required=True)
     p.add_argument("--window", type=_parse_window, required=True)
 
-    p = cmd("phi")
+    p = cmd("phi", _phi)
     p.add_argument("--bset", required=True)
     p.add_argument("--omega", required=True, help="comma-separated residues")
     p.add_argument("--window", type=_parse_window, required=True)
 
-    p = cmd("admissible")
+    p = cmd("admissible", _admissible)
     p.add_argument("--bset", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--offset", type=int, default=0)
 
-    p = cmd("complexity")
+    p = cmd("complexity", _complexity)
     p.add_argument("--bset", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = cmd("entropy")
+    p = cmd("entropy", _entropy)
     p.add_argument("--formula", choices=["bfree", "product", "generalized", "periodic"], required=True)
     p.add_argument("--bset")
     p.add_argument("--p")
@@ -81,12 +238,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", help="semicolon-separated residue groups, e.g. 0,2;0,3,6")
     p.add_argument("--block")
 
-    p = cmd("mirsky")
+    p = cmd("mirsky", _mirsky)
     p.add_argument("--bset", required=True)
     p.add_argument("--ones", default="")
     p.add_argument("--zeros", default="")
 
-    p = cmd("sample")
+    p = cmd("sample", _sample)
     p.add_argument("--measure", choices=["mirsky", "mme", "product", "generalized"], required=True)
     p.add_argument("--bset", required=True)
     p.add_argument("--window", type=_parse_window, required=True)
@@ -96,183 +253,56 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s")
     p.add_argument("--a")
 
-    p = cmd("spectrum")
+    p = cmd("spectrum", _spectrum)
     p.add_argument("--bset", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--offset", type=int, default=0)
 
-    p = cmd("theta")
+    p = cmd("theta", _theta)
     p.add_argument("--bset", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--offset", type=int, default=0)
 
-    p = cmd("include", aliases=["witness"])
+    p = cmd("include", _include, aliases=["witness"])
     p.add_argument("--bset", required=True)
     p.add_argument("--other", required=True)
 
-    p = cmd("construct-admissible")
+    p = cmd("construct-admissible", _construct_admissible)
     p.add_argument("--small", default="")
     p.add_argument("--bprime", type=int, required=True)
 
-    p = cmd("density")
+    p = cmd("density", _density)
     p.add_argument("--bset", required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--horizon", type=int, required=True)
 
-    p = cmd("sturmian")
+    p = cmd("sturmian", _sturmian)
     p.add_argument("--alpha", default="golden", help='"golden" or a rational/decimal in (0,1)')
     p.add_argument("--y", default="0")
     p.add_argument("--interval", default="0:1/2")
     p.add_argument("--window", type=_parse_window, required=True)
 
-    p = cmd("counterexample")
+    p = cmd("counterexample", _counterexample)
     p.add_argument("which", choices=["two-mme"])
     p.add_argument("--p", default="1/2")
 
-    p = cmd("transitive")
+    p = cmd("transitive", _transitive)
     p.add_argument("--bset", required=True)
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--length", type=int, required=True)
 
-    p = cmd("squeeze")
+    p = cmd("squeeze", _squeeze)
     p.add_argument("--x", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--offset", type=int, default=0)
 
-    p = cmd("embed")
+    p = cmd("embed", _embed)
     p.add_argument("--u", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--offset", type=int, default=0)
 
     return top
-
-
-def _run(args) -> dict:
-    c = args.command
-    if c == "eta":
-        lo, hi = args.window
-        word = sieve.eta_window(_parse_bset(args.bset), lo, hi)
-        return {"word": json.loads(word.to_json())}
-    if c == "phi":
-        bset = _parse_bset(args.bset)
-        omega = OdometerPoint(bset, tuple(int(x) for x in args.omega.split(",")))
-        lo, hi = args.window
-        return {"word": json.loads(sieve.phi_window(omega, lo, hi).to_json())}
-    if c == "admissible":
-        return {"admissible": admissibility.is_admissible(_word(args), _parse_bset(args.bset))}
-    if c == "complexity":
-        p = admissibility.block_complexity(_parse_bset(args.bset), args.n)
-        h = admissibility.entropy_from_complexity(p)
-        return {"p_n": [str(x) for x in p], "h_n": h}
-    if c == "entropy":
-        if args.formula == "bfree":
-            report = entropy.htop_bfree(_parse_bset(args.bset))
-        elif args.formula == "product":
-            report = entropy.h_product_type(_parse_bset(args.bset), Fraction(args.p))
-        elif args.formula == "generalized":
-            report = entropy.htop_generalized(
-                _parse_profile(_parse_bset(args.bset), args.s, args.a)
-            )
-        else:
-            report = entropy.htop_periodic_hereditary(BinaryWord.from_string(args.block))
-        return json.loads(report.to_json())
-    if c == "mirsky":
-        bset = _parse_bset(args.bset)
-        entries = {}
-        if args.ones:
-            entries.update({int(x): 1 for x in args.ones.split(",")})
-        if args.zeros:
-            entries.update({int(x): 0 for x in args.zeros.split(",")})
-        value = measures.mixed_cylinder(bset, CylinderSpec(entries))
-        return {"probability": str(value), "float": float(value)}
-    if c == "sample":
-        bset = _parse_bset(args.bset)
-        lo, hi = args.window
-        if args.measure == "mirsky":
-            batch = measures.sample_mirsky(bset, lo, hi, args.count, args.seed)
-        elif args.measure in ("mme", "product"):
-            p = Fraction(1, 2) if args.measure == "mme" else Fraction(args.p)
-            batch = measures.sample_product(
-                measures.ProductMeasureSpec(bset, p), lo, hi, args.count, args.seed
-            )
-        else:
-            profile = _parse_profile(bset, args.s, args.a)
-            batch = measures.sample_generalized(
-                profile, Fraction(args.p), lo, hi, args.count, args.seed
-            )
-        return {
-            "metadata": json.loads(batch.metadata_json()),
-            "words": [w.to_string() for w in batch.words],
-        }
-    if c == "spectrum":
-        profile = admissibility.spectrum_profile(_word(args), _parse_bset(args.bset))
-        return {"profile": json.loads(profile.to_json())}
-    if c == "theta":
-        out = []
-        for cand in admissibility.theta_window(_word(args), _parse_bset(args.bset)):
-            if cand is None:
-                out.append(None)
-            elif len(cand) == 1:
-                out.append({"unique": next(iter(cand))})
-            else:
-                out.append({"ambiguous": sorted(cand)})
-        return {"theta": out}
-    if c in ("include", "witness"):
-        witness = inclusion.inclusion_witness(_parse_bset(args.bset), _parse_bset(args.other))
-        return {
-            "includes": witness is None,
-            "witness": json.loads(witness.to_json()) if witness is not None else None,
-        }
-    if c == "construct-admissible":
-        small = [int(x) for x in args.small.split(",")] if args.small else []
-        result = inclusion.construct_admissible(small, args.bprime)
-        return {"set": sorted(result)}
-    if c == "density":
-        est = inclusion.density_estimate(_parse_bset(args.bset), args.c, args.r, args.horizon)
-        return {"density": est}
-    if c == "sturmian":
-        a, b = (Fraction(x) for x in args.interval.split(":"))
-        if args.alpha == "golden":
-            coding = sturmian.RotationCoding.golden(Fraction(args.y), (a, b))
-        else:
-            coding = sturmian.RotationCoding.from_real(
-                Fraction(args.alpha), Fraction(args.y), (a, b)
-            )
-        lo, hi = args.window
-        return {"word": json.loads(sturmian.sturmian_window(coding, lo, hi).to_json())}
-    if c == "counterexample":
-        sys_a, sys_b = sturmian.two_mme_system()
-        p = Fraction(args.p)
-        target = sys_a.block
-        return {
-            "blocks": [sys_a.block.to_string(), sys_b.block.to_string()],
-            "entropies_bits": [
-                str(entropy.htop_periodic_hereditary(s.block).exact) for s in (sys_a, sys_b)
-            ],
-            "target": target.to_string(),
-            "frequencies": [
-                str(sturmian.mme_block_frequency(s, target, p)) for s in (sys_a, sys_b)
-            ],
-        }
-    if c == "transitive":
-        bset = _parse_bset(args.bset)
-
-        def blocks_of(n):
-            return admissibility.admissible_words(bset, n)
-
-        h = float(entropy.htop_bfree(bset).bits)
-        word = sturmian.transitive_closure_point(blocks_of, h, args.n1, args.length)
-        return {"word": json.loads(word.to_json())}
-    if c == "squeeze":
-        x = BinaryWord.from_string(args.x, args.offset)
-        z = BinaryWord.from_string(args.z, args.offset)
-        return {"word": json.loads(measures.squeeze(x, z).to_json())}
-    if c == "embed":
-        u = BinaryWord.from_string(args.u)
-        z = BinaryWord.from_string(args.z, args.offset)
-        return {"word": json.loads(measures.embed(u, z).to_json())}
-    raise AssertionError(f"unhandled command {c}")
 
 
 def _to_csv(obj: dict) -> str:
@@ -292,7 +322,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        result = _run(args)
+        result = args.handler(args)
     except BFreeError as exc:
         payload = json.dumps(
             {"schema": SCHEMA, "error": type(exc).__name__, "message": str(exc)}

@@ -18,6 +18,7 @@ from bfree.admissibility import (
 from bfree.core import BinaryWord, OdometerPoint, validate_bset
 from bfree.errors import Inadmissible, StateSpaceTooLarge
 from bfree.sieve import SAProfile, eta_window, phi_sa_window, phi_window
+from count_oracle import block_complexity_dp, closed_form_count
 
 
 def exhaustive_admissible(moduli, n):
@@ -109,6 +110,26 @@ class TestBlockComplexity:
     def test_budget(self):
         with pytest.raises(StateSpaceTooLarge):
             block_complexity(validate_bset([7, 9, 11]), 5)
+
+    def test_no_moduli(self):
+        assert block_complexity(validate_bset([]), 6) == [2, 4, 8, 16, 32, 64]
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_against_transfer_dp(self, data):
+        moduli: list[int] = []
+        for b in data.draw(st.lists(st.integers(2, 18), max_size=5)):
+            if sum(moduli) + b <= 18 and all(math.gcd(b, m) == 1 for m in moduli):
+                moduli.append(b)
+        bset = validate_bset(sorted(moduli))
+        n = data.draw(st.integers(1, 60))
+        assert block_complexity(bset, n) == block_complexity_dp(bset, n)
+
+    @pytest.mark.parametrize("moduli, n", [((5, 19), 190), ((11, 13), 143)])
+    def test_closed_form_at_the_budget_edge(self, moduli, n):
+        # p_n at P | n; the transfer DP cannot reach these sets in test time
+        counts = block_complexity(validate_bset(moduli), n)
+        assert counts[-1] == closed_form_count(moduli, n)
 
     @pytest.mark.parametrize("moduli", [[2], [3], [2, 3], [5], [4], [2, 9], [3, 10], [2, 3, 5]])
     def test_against_exhaustive(self, moduli):
