@@ -18,8 +18,21 @@ from .errors import BFreeError
 SCHEMA = 1
 
 
-def _parse_bset(text: str) -> BSet:
-    return validate_bset(sorted(int(x) for x in text.split(",")))
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; the empty string is the empty list."""
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _int_groups(text: str) -> tuple[tuple[int, ...], ...]:
+    """Semicolon-separated groups of comma-separated integers."""
+    return tuple(_int_list(group) for group in text.split(";"))
+
+
+def _bset(moduli: tuple[int, ...]) -> BSet:
+    return validate_bset(sorted(moduli))
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -30,12 +43,8 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
 
 
-def _parse_profile(bset: BSet, s_text: str, a_text: str) -> sieve.SAProfile:
-    s = tuple(int(x) for x in s_text.split(","))
-    a = tuple(
-        frozenset(int(x) for x in group.split(",")) for group in a_text.split(";")
-    )
-    return sieve.SAProfile(bset, s, a)
+def _parse_profile(bset: BSet, s: tuple[int, ...], a: tuple[tuple[int, ...], ...]) -> sieve.SAProfile:
+    return sieve.SAProfile(bset, s, tuple(frozenset(group) for group in a))
 
 
 def _word(args) -> BinaryWord:
@@ -44,35 +53,35 @@ def _word(args) -> BinaryWord:
 
 def _eta(args) -> dict:
     lo, hi = args.window
-    word = sieve.eta_window(_parse_bset(args.bset), lo, hi)
+    word = sieve.eta_window(_bset(args.bset), lo, hi)
     return {"word": json.loads(word.to_json())}
 
 
 def _phi(args) -> dict:
-    bset = _parse_bset(args.bset)
-    omega = OdometerPoint(bset, tuple(int(x) for x in args.omega.split(",")))
+    bset = _bset(args.bset)
+    omega = OdometerPoint(bset, args.omega)
     lo, hi = args.window
     return {"word": json.loads(sieve.phi_window(omega, lo, hi).to_json())}
 
 
 def _admissible(args) -> dict:
-    return {"admissible": admissibility.is_admissible(_word(args), _parse_bset(args.bset))}
+    return {"admissible": admissibility.is_admissible(_word(args), _bset(args.bset))}
 
 
 def _complexity(args) -> dict:
-    p = admissibility.block_complexity(_parse_bset(args.bset), args.n)
+    p = admissibility.block_complexity(_bset(args.bset), args.n)
     h = admissibility.entropy_from_complexity(p)
     return {"p_n": [str(x) for x in p], "h_n": h}
 
 
 def _entropy(args) -> dict:
     if args.formula == "bfree":
-        report = entropy.htop_bfree(_parse_bset(args.bset))
+        report = entropy.htop_bfree(_bset(args.bset))
     elif args.formula == "product":
-        report = entropy.h_product_type(_parse_bset(args.bset), Fraction(args.p))
+        report = entropy.h_product_type(_bset(args.bset), Fraction(args.p))
     elif args.formula == "generalized":
         report = entropy.htop_generalized(
-            _parse_profile(_parse_bset(args.bset), args.s, args.a)
+            _parse_profile(_bset(args.bset), args.s, args.a)
         )
     else:
         report = entropy.htop_periodic_hereditary(BinaryWord.from_string(args.block))
@@ -80,18 +89,17 @@ def _entropy(args) -> dict:
 
 
 def _mirsky(args) -> dict:
-    bset = _parse_bset(args.bset)
-    entries = {}
-    if args.ones:
-        entries.update({int(x): 1 for x in args.ones.split(",")})
-    if args.zeros:
-        entries.update({int(x): 0 for x in args.zeros.split(",")})
+    both = sorted(set(args.ones) & set(args.zeros))
+    if both:
+        args.usage_error(f"positions {both} are in both --ones and --zeros")
+    bset = _bset(args.bset)
+    entries = {**{n: 1 for n in args.ones}, **{n: 0 for n in args.zeros}}
     value = measures.mixed_cylinder(bset, CylinderSpec(entries))
     return {"probability": str(value), "float": float(value)}
 
 
 def _sample(args) -> dict:
-    bset = _parse_bset(args.bset)
+    bset = _bset(args.bset)
     lo, hi = args.window
     if args.measure == "mirsky":
         batch = measures.sample_mirsky(bset, lo, hi, args.count, args.seed)
@@ -112,13 +120,13 @@ def _sample(args) -> dict:
 
 
 def _spectrum(args) -> dict:
-    profile = admissibility.spectrum_profile(_word(args), _parse_bset(args.bset))
+    profile = admissibility.spectrum_profile(_word(args), _bset(args.bset))
     return {"profile": json.loads(profile.to_json())}
 
 
 def _theta(args) -> dict:
     out = []
-    for cand in admissibility.theta_window(_word(args), _parse_bset(args.bset)):
+    for cand in admissibility.theta_window(_word(args), _bset(args.bset)):
         if cand is None:
             out.append(None)
         elif len(cand) == 1:
@@ -129,7 +137,7 @@ def _theta(args) -> dict:
 
 
 def _include(args) -> dict:
-    witness = inclusion.inclusion_witness(_parse_bset(args.bset), _parse_bset(args.other))
+    witness = inclusion.inclusion_witness(_bset(args.bset), _bset(args.other))
     return {
         "includes": witness is None,
         "witness": json.loads(witness.to_json()) if witness is not None else None,
@@ -137,13 +145,12 @@ def _include(args) -> dict:
 
 
 def _construct_admissible(args) -> dict:
-    small = [int(x) for x in args.small.split(",")] if args.small else []
-    result = inclusion.construct_admissible(small, args.bprime)
+    result = inclusion.construct_admissible(list(args.small), args.bprime)
     return {"set": sorted(result)}
 
 
 def _density(args) -> dict:
-    est = inclusion.density_estimate(_parse_bset(args.bset), args.c, args.r, args.horizon)
+    est = inclusion.density_estimate(_bset(args.bset), args.c, args.r, args.horizon)
     return {"density": est}
 
 
@@ -176,7 +183,7 @@ def _counterexample(args) -> dict:
 
 
 def _transitive(args) -> dict:
-    bset = _parse_bset(args.bset)
+    bset = _bset(args.bset)
 
     def blocks_of(n):
         return admissibility.admissible_words(bset, n)
@@ -209,70 +216,72 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def cmd(name, handler, **kw):
         p = sub.add_parser(name, parents=[common], **kw)
-        p.set_defaults(handler=handler)
+        # usage_error exits 2 with the subcommand's usage, for checks
+        # that span several arguments
+        p.set_defaults(handler=handler, usage_error=p.error)
         return p
 
     p = cmd("eta", _eta)
-    p.add_argument("--bset", required=True)
+    p.add_argument("--bset", type=_int_list, required=True)
     p.add_argument("--window", type=_parse_window, required=True)
 
     p = cmd("phi", _phi)
-    p.add_argument("--bset", required=True)
-    p.add_argument("--omega", required=True, help="comma-separated residues")
+    p.add_argument("--bset", type=_int_list, required=True)
+    p.add_argument("--omega", type=_int_list, required=True, help="comma-separated residues")
     p.add_argument("--window", type=_parse_window, required=True)
 
     p = cmd("admissible", _admissible)
-    p.add_argument("--bset", required=True)
+    p.add_argument("--bset", type=_int_list, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--offset", type=int, default=0)
 
     p = cmd("complexity", _complexity)
-    p.add_argument("--bset", required=True)
+    p.add_argument("--bset", type=_int_list, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = cmd("entropy", _entropy)
     p.add_argument("--formula", choices=["bfree", "product", "generalized", "periodic"], required=True)
-    p.add_argument("--bset")
+    p.add_argument("--bset", type=_int_list)
     p.add_argument("--p")
-    p.add_argument("--s")
-    p.add_argument("--a", help="semicolon-separated residue groups, e.g. 0,2;0,3,6")
+    p.add_argument("--s", type=_int_list)
+    p.add_argument("--a", type=_int_groups, help="semicolon-separated residue groups, e.g. 0,2;0,3,6")
     p.add_argument("--block")
 
     p = cmd("mirsky", _mirsky)
-    p.add_argument("--bset", required=True)
-    p.add_argument("--ones", default="")
-    p.add_argument("--zeros", default="")
+    p.add_argument("--bset", type=_int_list, required=True)
+    p.add_argument("--ones", type=_int_list, default=())
+    p.add_argument("--zeros", type=_int_list, default=())
 
     p = cmd("sample", _sample)
     p.add_argument("--measure", choices=["mirsky", "mme", "product", "generalized"], required=True)
-    p.add_argument("--bset", required=True)
+    p.add_argument("--bset", type=_int_list, required=True)
     p.add_argument("--window", type=_parse_window, required=True)
     p.add_argument("--p", default="1")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--s")
-    p.add_argument("--a")
+    p.add_argument("--s", type=_int_list)
+    p.add_argument("--a", type=_int_groups)
 
     p = cmd("spectrum", _spectrum)
-    p.add_argument("--bset", required=True)
+    p.add_argument("--bset", type=_int_list, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--offset", type=int, default=0)
 
     p = cmd("theta", _theta)
-    p.add_argument("--bset", required=True)
+    p.add_argument("--bset", type=_int_list, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--offset", type=int, default=0)
 
     p = cmd("include", _include, aliases=["witness"])
-    p.add_argument("--bset", required=True)
-    p.add_argument("--other", required=True)
+    p.add_argument("--bset", type=_int_list, required=True)
+    p.add_argument("--other", type=_int_list, required=True)
 
     p = cmd("construct-admissible", _construct_admissible)
-    p.add_argument("--small", default="")
+    p.add_argument("--small", type=_int_list, default=())
     p.add_argument("--bprime", type=int, required=True)
 
     p = cmd("density", _density)
-    p.add_argument("--bset", required=True)
+    p.add_argument("--bset", type=_int_list, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--horizon", type=int, required=True)
@@ -288,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="1/2")
 
     p = cmd("transitive", _transitive)
-    p.add_argument("--bset", required=True)
+    p.add_argument("--bset", type=_int_list, required=True)
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--length", type=int, required=True)
 

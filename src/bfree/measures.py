@@ -63,8 +63,10 @@ CHUNK = 1024
 # reads the same stream, so it is not part of the contract.
 MASK_DRAW = 1 << 16
 
-# Inclusion-exclusion sums 2^|zeros| terms; cap the zero-positions.
-MAX_ZEROS = 24
+# The coverage DP stores at most min(2^|zeros|, prod_{k<K} (m_k + 1)) states,
+# m_k the classes mod b_k that the ones allow and that strike a zero;
+# a larger bound is refused before any state is built.
+MAX_COVER_STATES = 1 << 20
 
 
 def mirsky_cylinder(bset: BSet, ones: Iterable[int]) -> Fraction:
@@ -79,23 +81,72 @@ def mirsky_cylinder(bset: BSet, ones: Iterable[int]) -> Fraction:
 def mixed_cylinder(bset: BSet, spec: CylinderSpec) -> Fraction:
     """Probability of a cylinder with both 1- and 0-constraints.
 
-    Inclusion-exclusion over subsets S of the 0-positions sums (-1)^|S| times
-    the Mirsky probability of ones | S; 2^|zeros| terms, hence MAX_ZEROS.
+    A point of the period picks one class c_k mod each b_k, outside the
+    classes H_k hit by the ones.  Position z is 0 iff some c_k = z mod b_k
+    strikes it, so the cylinder counts the class tuples that strike every
+    zero.  A coverage DP over the moduli maps the bitmask of zeros struck
+    so far to its number of tuples.  An allowed class that strikes zeros
+    ORs in their mask; the b_k - |H_k| - m_k allowed classes that strike
+    none are counted as one number, so no modulus is ever enumerated.
+    States that the later moduli cannot complete are dropped, and the last
+    modulus only counts completions to the full mask.  More than
+    MAX_COVER_STATES states raises TooManyZeros before any is built.
     """
     zeros = sorted(spec.zeros)
-    if len(zeros) > MAX_ZEROS:
-        raise TooManyZeros(f"{len(zeros)} zero-positions exceed cap {MAX_ZEROS}")
-    mods = bset.moduli
-    steps = [_hit_residues([z], mods) for z in zeros]
+    full = (1 << len(zeros)) - 1
+    strikes = []  # per modulus: the zero masks of the allowed striking classes, the idle count
+    for b, hit in zip(bset.moduli, _hit_residues(spec.ones, bset.moduli)):
+        masks: dict[int, int] = {}
+        for i, z in enumerate(zeros):
+            r = z % b
+            if r not in hit:
+                masks[r] = masks.get(r, 0) | 1 << i
+        strikes.append((list(masks.values()), b - len(hit) - len(masks)))
+    bound = min(full + 1, math.prod(len(m) + 1 for m, _ in strikes[:-1]))
+    if bound > MAX_COVER_STATES:
+        raise TooManyZeros(
+            f"{len(zeros)} zero-positions need up to {bound} cover states, "
+            f"over the budget of {MAX_COVER_STATES}"
+        )
+    # reach[k]: the zeros that moduli k.. can still strike (the masks of
+    # one modulus are disjoint, so their sum is their union)
+    reach = [0] * (len(strikes) + 1)
+    for k in range(len(strikes) - 1, -1, -1):
+        reach[k] = reach[k + 1] | sum(strikes[k][0])
+    if reach[0] != full:
+        return Fraction(0)
+    if not strikes:
+        return Fraction(1)
+    states = {0: 1}
+    for k, (masks, idle) in enumerate(strikes[:-1]):
+        states = _cover_step(states, masks, idle, full ^ reach[k + 1])
+    masks, idle = strikes[-1]
+    # a class of the last modulus completes a state iff its mask holds the
+    # missing zeros; the masks are disjoint, so at most one class does
+    owner = {i: m for m in masks for i in range(m.bit_length()) if m >> i & 1}
+    total = 0
+    for state, count in states.items():
+        missing = full ^ state
+        if not missing:
+            total += count * (len(masks) + idle)
+        elif not missing & ~owner[(missing & -missing).bit_length() - 1]:
+            total += count
+    return Fraction(total, bset.period)
 
-    def free(i: int, hits: list[frozenset[int]]) -> int:
-        # classes of the joint period coded 1 at the positions behind hits
-        # and 0 at zeros[i:]; a full modulus stays full in every superset
-        if i == len(steps) or any(len(h) == b for h, b in zip(hits, mods)):
-            return math.prod(b - len(h) for h, b in zip(hits, mods))
-        return free(i + 1, hits) - free(i + 1, [h | z for h, z in zip(hits, steps[i])])
 
-    return Fraction(free(0, _hit_residues(spec.ones, mods)), bset.period)
+def _cover_step(states: dict[int, int], masks: list[int], idle: int, needed: int) -> dict[int, int]:
+    """One modulus of the coverage DP: each striking class ORs in its mask,
+    the idle classes keep the state; states missing a zero of ``needed``
+    (no later modulus strikes it) are dropped."""
+    out: dict[int, int] = {}
+    for state, count in states.items():
+        if idle and state & needed == needed:
+            out[state] = out.get(state, 0) + count * idle
+        for m in masks:
+            s = state | m
+            if s & needed == needed:
+                out[s] = out.get(s, 0) + count
+    return out
 
 
 @dataclass(frozen=True)

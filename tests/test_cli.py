@@ -166,6 +166,36 @@ class TestFormatsAndErrors:
         assert exc.value.code == 2
         assert "--window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["complexity", "--bset", "4,x", "--n", "3"], "--bset"),
+        (["eta", "--bset", "2,,3", "--window", "0:6"], "--bset"),
+        (["phi", "--bset", "2,3", "--omega", "1,y", "--window", "0:6"], "--omega"),
+        (["mirsky", "--bset", "4,9", "--ones", "0,x"], "--ones"),
+        (["mirsky", "--bset", "4,9", "--zeros", "1.5"], "--zeros"),
+        (["include", "--bset", "2,3", "--other", "5,"], "--other"),
+        (["construct-admissible", "--small", "2,q", "--bprime", "5"], "--small"),
+        (["entropy", "--formula", "generalized", "--bset", "4,9", "--s", "2,x", "--a", "0,2;0,3,6"], "--s"),
+        (["entropy", "--formula", "generalized", "--bset", "4,9", "--s", "2,3", "--a", "0,2;0,x"], "--a"),
+    ])
+    def test_malformed_integer_list_exit_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_mirsky_position_in_ones_and_zeros_exit_2(self, capsys):
+        # the zero used to overwrite the one silently and print 1/3
+        with pytest.raises(SystemExit) as exc:
+            main(["mirsky", "--bset", "4,9", "--ones", "1", "--zeros", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--ones" in err and "--zeros" in err
+
+    def test_mirsky_ones_and_zeros(self, capsys):
+        _, out, _ = run(capsys, "mirsky", "--bset", "2,3", "--ones", "0", "--zeros", "1")
+        # the one at 0 forces c_2 = 1, which strikes 1: Haar count 2 of 6
+        assert json.loads(out)["probability"] == "1/3"
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eta", "--window", "0:6"])

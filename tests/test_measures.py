@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfree import measures
 from bfree.cli import main
-from bfree.core import BinaryWord, CylinderSpec, OdometerPoint, validate_bset
+from bfree.core import BinaryWord, CylinderSpec, OdometerPoint, squarefree_family, validate_bset
 from bfree.errors import EmptySupport, LengthMismatch, TooManyZeros, WindowTooLarge
 from bfree.measures import (
     CHUNK,
@@ -31,7 +33,8 @@ from bfree.measures import (
     sample_product,
     squeeze,
 )
-from bfree.sieve import MAX_WINDOW_BITS, SAProfile, phi_sa_window, phi_window
+from bfree.sieve import MAX_WINDOW_BITS, SAProfile, eta_window, phi_sa_window, phi_window
+from cylinder_oracle import mixed_cylinder_ie
 
 
 def haar_cylinder(bset, entries):
@@ -45,6 +48,21 @@ def haar_cylinder(bset, entries):
         bits = phi_window(OdometerPoint(bset, residues), lo, hi).bits
         hits += all(bits[n - lo] == v for n, v in entries.items())
     return Fraction(hits, bset.period)
+
+
+def sieve_haar_cylinder(bset, entries):
+    """Exact Haar measure of a cylinder from one sieved window: the share of
+    phases t in [0, P) at which eta(t + n) equals the bit of every entry."""
+    lo, hi = min(entries), max(entries) + 1
+    bits = eta_window(bset, lo, bset.period + hi).bits
+    ok = np.ones(bset.period, dtype=bool)
+    for n, v in entries.items():
+        ok &= bits[n - lo : n - lo + bset.period] == v
+    return Fraction(int(ok.sum()), bset.period)
+
+
+# Moduli for random coprime sets, one far beyond any enumeration.
+MODULI_POOL = [2, 3, 4, 5, 7, 9, 11, 25, 10**10 + 19]
 
 
 def sliced_frequencies(texts, n):
@@ -88,10 +106,68 @@ class TestMixedCylinder:
     def test_impossible_pattern(self):
         assert mixed_cylinder(validate_bset([2]), CylinderSpec({0: 1, 1: 1})) == 0
 
-    def test_zero_budget(self):
-        spec = CylinderSpec({n: 0 for n in range(25)})
+    def test_zero_budget(self, monkeypatch):
+        # 25 zeros 0, 4, .., 96 on [4,9,25]: one class mod 4 and all nine mod 9
+        # strike a zero, so the DP may store min(2^25, 2 * 10) = 20 states
+        bset = validate_bset([4, 9, 25])
+        spec = CylinderSpec({n: 0 for n in range(0, 100, 4)})
+        steps = []
+        step = measures._cover_step
+        monkeypatch.setattr(measures, "_cover_step", lambda *a: steps.append(a) or step(*a))
+        monkeypatch.setattr(measures, "MAX_COVER_STATES", 19)
         with pytest.raises(TooManyZeros):
-            mixed_cylinder(validate_bset([2, 3]), spec)
+            mixed_cylinder(bset, spec)
+        assert steps == []  # refused before any state was built
+        monkeypatch.setattr(measures, "MAX_COVER_STATES", 20)
+        assert mixed_cylinder(bset, spec) == haar_cylinder(bset, spec.entries) == Fraction(1, 4)
+        assert steps
+
+    def test_budget_refuses_at_once(self):
+        # 21 zeros that seven moduli each strike one at a time: 22^6 products
+        # and 2^21 subsets both exceed the budget
+        spec = CylinderSpec({n: 0 for n in range(21)})
+        with pytest.raises(TooManyZeros):
+            mixed_cylinder(validate_bset([23, 29, 31, 37, 41, 43, 47]), spec)
+
+    @given(
+        st.lists(st.sampled_from(MODULI_POOL), max_size=4),
+        st.sets(st.integers(-40, 79), max_size=6),
+        st.sets(st.integers(-40, 79), max_size=14),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_inclusion_exclusion(self, pool, ones, zeros):
+        moduli = []
+        for b in pool:
+            if all(math.gcd(a, b) == 1 for a in moduli):
+                moduli.append(b)
+        bset = validate_bset(sorted(moduli))
+        spec = CylinderSpec({**{n: 1 for n in ones}, **{n: 0 for n in zeros - ones}})
+        assert mixed_cylinder(bset, spec) == mixed_cylinder_ie(bset, spec)
+
+    @pytest.mark.parametrize("n_zeros, seed", [(25, 1), (25, 2), (40, 3)])
+    def test_long_cylinders_match_haar(self, n_zeros, seed):
+        # cut from the free-point sequence itself, so the probability is positive
+        bset = squarefree_family(4)
+        rng = random.Random(seed)
+        t0 = rng.randrange(10**6)
+        bits = eta_window(bset, t0, t0 + 160).bits
+        zeros = rng.sample([i for i in range(160) if not bits[i]], n_zeros)
+        ones = rng.sample([i for i in range(160) if bits[i]], 3)
+        entries = {**{i: 0 for i in zeros}, **{i: 1 for i in ones}}
+        value = mixed_cylinder(bset, CylinderSpec(entries))
+        assert value > 0
+        assert value == sieve_haar_cylinder(bset, entries)
+
+    def test_huge_modulus_thirty_zeros(self):
+        p = 10_000_000_019
+        bset = validate_bset([2, p])
+        # c_2 = 0 strikes every zero and leaves c_p free
+        evens = CylinderSpec({n: 0 for n in range(0, 60, 2)})
+        assert mixed_cylinder(bset, evens) == Fraction(1, 2)
+        # an odd zero and a one at 3 force c_2 = 0 and c_p = 1
+        spec = CylinderSpec({**{n: 0 for n in range(0, 58, 2)}, 1: 0, 3: 1})
+        assert len(spec.zeros) == 30
+        assert mixed_cylinder(bset, spec) == Fraction(1, 2 * p)
 
     @given(
         st.sampled_from([(2, 3), (4, 9), (2, 3, 5)]),

@@ -46,3 +46,31 @@ def test_random_draws_only_in_the_sampler_core(path):
 
 def test_sampler_core_is_seen_by_the_rule():
     assert _rng_lines(Path(bfree.__file__).parent / "measures.py")
+
+
+def _self_calls(source):
+    """(function name, line) of every call a function makes to itself by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name
+                ):
+                    found.append((node.name, call.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_recursion(path):
+    # recursion depth grows with the input and ends in RecursionError, not a
+    # BFreeError; walk with an explicit stack or a loop instead
+    calls = _self_calls(path.read_text())
+    assert not calls, f"{path.name} has recursive calls {calls}"
+
+
+def test_recursion_rule_sees_nested_functions():
+    source = "def outer(xs):\n    def walk(i):\n        return 0 if i == len(xs) else walk(i + 1)\n    return walk(0)\n"
+    assert _self_calls(source) == [("walk", 3)]
