@@ -74,7 +74,17 @@ def _complexity(args) -> dict:
     return {"p_n": [str(x) for x in p], "h_n": h}
 
 
+def _require(args, mode: str, *flags: str) -> None:
+    # a flag that only some modes need cannot be required by argparse itself
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        args.usage_error(f"{mode} requires {', '.join(missing)}")
+
+
 def _entropy(args) -> dict:
+    needs = {"bfree": ("bset",), "product": ("bset", "p"),
+             "generalized": ("bset", "s", "a"), "periodic": ("block",)}
+    _require(args, f"--formula {args.formula}", *needs[args.formula])
     if args.formula == "bfree":
         report = entropy.htop_bfree(_bset(args.bset))
     elif args.formula == "product":
@@ -109,6 +119,7 @@ def _sample(args) -> dict:
             measures.ProductMeasureSpec(bset, p), lo, hi, args.count, args.seed
         )
     else:
+        _require(args, "--measure generalized", "s", "a")
         profile = _parse_profile(bset, args.s, args.a)
         batch = measures.sample_generalized(
             profile, Fraction(args.p), lo, hi, args.count, args.seed

@@ -84,10 +84,6 @@ class NotSaturated(BFreeError):
     pass
 
 
-class TargetTooLong(BFreeError):
-    pass
-
-
 class BudgetExceeded(BFreeError):
     pass
 

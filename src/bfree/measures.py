@@ -34,7 +34,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .admissibility import _hit_residues
 from .core import BinaryWord, BSet, CylinderSpec
 from .errors import EmptySupport, LengthMismatch, TooManyZeros
 from .sieve import SAProfile, _check_window, _sieve
@@ -63,9 +62,10 @@ CHUNK = 1024
 # reads the same stream, so it is not part of the contract.
 MASK_DRAW = 1 << 16
 
-# The coverage DP stores at most min(2^|zeros|, prod_{k<K} (m_k + 1)) states,
-# m_k the classes mod b_k that the ones allow and that strike a zero;
-# a larger bound is refused before any state is built.
+# The coverage DP stores at most min(2^|zeros|, prod (m_k + 1)) states over
+# the stored moduli (all when p < 1, all but the last when p = 1), m_k the
+# coordinates mod b_k that strike a zero and no 1; a larger bound is
+# refused before any state is built.
 MAX_COVER_STATES = 1 << 20
 
 
@@ -75,68 +75,106 @@ def mirsky_cylinder(bset: BSet, ones: Iterable[int]) -> Fraction:
     Equals prod_k (1 - |A mod b_k| / b_k); zero iff the positions cover a
     full residue system modulo some modulus.
     """
-    return mixed_cylinder(bset, CylinderSpec({n: 1 for n in ones}))
+    spec = CylinderSpec({n: 1 for n in ones})
+    return _cylinder(bset.moduli, [(0,)] * len(bset.moduli), spec, Fraction(1))
 
 
 def mixed_cylinder(bset: BSet, spec: CylinderSpec) -> Fraction:
     """Probability of a cylinder with both 1- and 0-constraints.
 
-    A point of the period picks one class c_k mod each b_k, outside the
-    classes H_k hit by the ones.  Position z is 0 iff some c_k = z mod b_k
-    strikes it, so the cylinder counts the class tuples that strike every
-    zero.  A coverage DP over the moduli maps the bitmask of zeros struck
-    so far to its number of tuples.  An allowed class that strikes zeros
-    ORs in their mask; the b_k - |H_k| - m_k allowed classes that strike
-    none are counted as one number, so no modulus is ever enumerated.
-    States that the later moduli cannot complete are dropped, and the last
-    modulus only counts completions to the full mask.  More than
-    MAX_COVER_STATES states raises TooManyZeros before any is built.
+    The coverage DP of :func:`_cylinder` with the single class 0 per
+    modulus: exact for moduli of any size, within ``MAX_COVER_STATES``.
     """
-    zeros = sorted(spec.zeros)
+    return _cylinder(bset.moduli, [(0,)] * len(bset.moduli), spec, Fraction(1))
+
+
+def _cylinder(moduli, classes, spec: CylinderSpec, p: Fraction) -> Fraction:
+    """Exact probability of ``spec`` under the measure :func:`_sample` draws.
+
+    A point is one uniform coordinate r_k mod each b_k; r_k strikes n iff
+    (r_k + n) mod b_k is in classes[k].  Struck positions are 0, the others
+    1s kept w.p. p, and a coordinate that strikes a 1 of the cylinder is
+    banned.  The DP maps the mask of 0s struck so far to its number of
+    unbanned coordinate tuples: a coordinate that strikes 0s ORs in their
+    mask, the others count as one idle number, so no modulus is enumerated.
+    An unstruck 0 is a dropped 1, so the value is
+    p^|ones| * sum_state count * (1 - p)^(|zeros| - |state|) / prod_k b_k.
+
+    At p = 1 only the full mask counts: states the later moduli cannot
+    complete are dropped, and the last modulus only counts completions, by
+    the coordinates that strike the lowest missing 0.  The mask bits
+    (striking coordinates x |zeros|) pass the window gate before any mask
+    is built; a state bound over MAX_COVER_STATES raises TooManyZeros
+    before any state is built.
+    """
+    ones, zeros = spec.ones, sorted(spec.zeros)
     full = (1 << len(zeros)) - 1
-    strikes = []  # per modulus: the zero masks of the allowed striking classes, the idle count
-    for b, hit in zip(bset.moduli, _hit_residues(spec.ones, bset.moduli)):
-        masks: dict[int, int] = {}
-        for i, z in enumerate(zeros):
-            r = z % b
-            if r not in hit:
-                masks[r] = masks.get(r, 0) | 1 << i
-        strikes.append((list(masks.values()), b - len(hit) - len(masks)))
-    bound = min(full + 1, math.prod(len(m) + 1 for m, _ in strikes[:-1]))
+    groups = []  # per modulus: the 0 indices each striking coordinate strikes, the idle count
+    for b, ak in zip(moduli, classes):
+        banned = {(a - n) % b for a in ak for n in ones}
+        strike: dict[int, list[int]] = {}
+        for a in ak:
+            for i, z in enumerate(zeros):
+                r = (a - z) % b
+                if r not in banned:
+                    strike.setdefault(r, []).append(i)
+        groups.append((list(strike.values()), b - len(banned) - len(strike)))
+    # a mask holds at most |zeros| bits; the extra column keeps the window
+    # nonempty for a cylinder without 0s
+    _check_window(0, len(zeros) + 1, rows=sum(len(g) for g, _ in groups))
+    strikes = []
+    for g, idle in groups:
+        masks = []
+        for indices in g:
+            bits = bytearray(len(zeros) + 7 >> 3)
+            for i in indices:
+                bits[i >> 3] |= 1 << (i & 7)
+            masks.append(int.from_bytes(bits, "little"))
+        strikes.append((masks, idle))
+    stored = strikes[:-1] if p == 1 else strikes
+    bound = min(full + 1, math.prod(len(m) + 1 for m, _ in stored))
     if bound > MAX_COVER_STATES:
         raise TooManyZeros(
             f"{len(zeros)} zero-positions need up to {bound} cover states, "
             f"over the budget of {MAX_COVER_STATES}"
         )
-    # reach[k]: the zeros that moduli k.. can still strike (the masks of
-    # one modulus are disjoint, so their sum is their union)
+    # reach[k]: the 0s that moduli k.. can still strike
     reach = [0] * (len(strikes) + 1)
     for k in range(len(strikes) - 1, -1, -1):
-        reach[k] = reach[k + 1] | sum(strikes[k][0])
-    if reach[0] != full:
-        return Fraction(0)
-    if not strikes:
-        return Fraction(1)
+        reach[k] = reach[k + 1]
+        for m in strikes[k][0]:
+            reach[k] |= m
     states = {0: 1}
-    for k, (masks, idle) in enumerate(strikes[:-1]):
-        states = _cover_step(states, masks, idle, full ^ reach[k + 1])
-    masks, idle = strikes[-1]
-    # a class of the last modulus completes a state iff its mask holds the
-    # missing zeros; the masks are disjoint, so at most one class does
-    owner = {i: m for m in masks for i in range(m.bit_length()) if m >> i & 1}
-    total = 0
-    for state, count in states.items():
-        missing = full ^ state
-        if not missing:
-            total += count * (len(masks) + idle)
-        elif not missing & ~owner[(missing & -missing).bit_length() - 1]:
-            total += count
-    return Fraction(total, bset.period)
+    for k, (masks, idle) in enumerate(stored):
+        states = _cover_step(states, masks, idle, full ^ reach[k + 1] if p == 1 else 0)
+    if p == 1 and strikes:
+        masks, idle = strikes[-1]
+        owners: list[list[int]] = [[] for _ in zeros]  # the last masks striking each 0
+        for indices, m in zip(groups[-1][0], masks):
+            for i in indices:
+                owners[i].append(m)
+        total = 0
+        for state, count in states.items():
+            missing = full ^ state
+            if not missing:
+                total += count * (len(masks) + idle)
+            else:
+                for m in owners[(missing & -missing).bit_length() - 1]:
+                    if not missing & ~m:
+                        total += count
+        states = {full: total}
+    # with p = u / v, the sum over the states times v^|zeros|, in integers
+    u, v = p.numerator, p.denominator
+    total = sum(
+        count * (v - u) ** (len(zeros) - s.bit_count()) * v ** s.bit_count()
+        for s, count in states.items()
+    )
+    return Fraction(u ** len(ones) * total, v ** (len(ones) + len(zeros)) * math.prod(moduli))
 
 
 def _cover_step(states: dict[int, int], masks: list[int], idle: int, needed: int) -> dict[int, int]:
-    """One modulus of the coverage DP: each striking class ORs in its mask,
-    the idle classes keep the state; states missing a zero of ``needed``
+    """One modulus of the coverage DP: each striking coordinate ORs in its
+    mask, the idle ones keep the state; states missing a zero of ``needed``
     (no later modulus strikes it) are dropped."""
     out: dict[int, int] = {}
     for state, count in states.items():

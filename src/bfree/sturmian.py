@@ -10,8 +10,10 @@ a limb comparison, and only the few near an endpoint go through the
 big-int error rule (the filter-then-exact pattern of Shewchuk, 1997).
 Block catalogues are sets of integer window codes, decoded once.
 A periodic point with minimal period c is the coding of the rotation
-on Z/c by its block's zero phases, so its windows, phase statistics and
-samples all come from the residue sieve (:mod:`bfree.sieve`).
+on Z/c by its block's zero phases, so its windows and samples come from
+the residue sieve (:mod:`bfree.sieve`) and its exact maximal-entropy
+block frequencies from the cylinder DP of :mod:`bfree.measures`, at any
+target length.
 Hereditary-closure block counts use the dominated-enumeration identity
 (count words lying under some occurring block) and never materialize the
 closure.
@@ -29,7 +31,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import admissibility, sieve
-from .core import BinaryWord
+from .core import BinaryWord, CylinderSpec
 from .errors import (
     BudgetExceeded,
     NotMinimalPeriod,
@@ -37,10 +39,9 @@ from .errors import (
     PrecisionExhausted,
     PreconditionUnmet,
     StateSpaceTooLarge,
-    TargetTooLong,
     WindowTooLarge,
 )
-from .measures import _block_codes, _distinct_counts, _sample
+from .measures import _block_codes, _cylinder, _distinct_counts, _sample
 
 __all__ = [
     "RotationCoding",
@@ -347,25 +348,17 @@ def mme_block_frequency(
     """Exact probability that the window [0, |target|) shows ``target``.
 
     The measure is uniform phase times an independent Bernoulli(p) keep
-    mask on the ones.  Phases whose window fails to dominate the target
-    contribute zero.
+    mask on the ones: the cylinder of the target's bits under the coverage
+    DP of :mod:`bfree.measures`, with modulus c and the block's zero
+    phases as classes.  Any target length is exact; the DP's state budget
+    (``measures.MAX_COVER_STATES``) and the window gate bound the work.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    c = len(system.block)
-    L = len(target)
-    if L > 2 * c:
-        raise TargetTooLong(f"target length {L} exceeds 2 * {c}")
-    # the c phase windows [j, j + L) are the L-windows of [0, c + L - 1);
-    # correlations count, per phase, the target ones it covers and its ones
-    sieve._check_window(0, L)
-    bits = system.window(0, c + L - 1).bits.astype(np.int64)
-    kept = target.ones
-    covered = np.correlate(bits, target.bits.astype(np.int64))
-    ones = np.correlate(bits, np.ones(L, dtype=np.int64))
-    dropped = (ones[covered == kept] - kept).tolist()
-    return sum((p**kept * (1 - p) ** d for d in dropped), Fraction(0)) / c
+    sieve._check_window(0, len(target))
+    spec = CylinderSpec(dict(enumerate(target.bits.tolist())))
+    return _cylinder((len(system.block),), (system._zeros,), spec, p)
 
 
 def sample_periodic_windows(

@@ -196,6 +196,21 @@ class TestFormatsAndErrors:
         # the one at 0 forces c_2 = 1, which strikes 1: Haar count 2 of 6
         assert json.loads(out)["probability"] == "1/3"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["entropy", "--formula", "bfree"], "--bset"),
+        (["entropy", "--formula", "generalized", "--bset", "4,9"], "--s"),
+        (["entropy", "--formula", "product", "--bset", "2,3"], "--p"),
+        (["entropy", "--formula", "periodic"], "--block"),
+        (["sample", "--measure", "generalized", "--bset", "4,9", "--window", "0:8"], "--s"),
+    ])
+    def test_flag_of_the_chosen_mode_missing_exit_2(self, capsys, argv, flag):
+        # these ended in a TypeError or AttributeError traceback with exit 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"requires {flag}" in err
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eta", "--window", "0:6"])

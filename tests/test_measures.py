@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bfree import measures
@@ -59,6 +59,23 @@ def sieve_haar_cylinder(bset, entries):
     for n, v in entries.items():
         ok &= bits[n - lo : n - lo + bset.period] == v
     return Fraction(int(ok.sum()), bset.period)
+
+
+def enumerated_cylinder(moduli, classes, entries, p):
+    """Exact masked-coding measure of a cylinder by enumerating the period:
+    every coordinate tuple is equally likely, a position struck by some
+    coordinate is 0, and each other position is a 1 kept w.p. p."""
+    total = Fraction(0)
+    for point in itertools.product(*(range(b) for b in moduli)):
+        weight = Fraction(1)
+        for n, bit in entries.items():
+            struck = any((r + n) % b in ak for r, b, ak in zip(point, moduli, classes))
+            if bit:
+                weight *= 0 if struck else p
+            elif not struck:
+                weight *= 1 - p
+        total += weight
+    return total / math.prod(moduli)
 
 
 # Moduli for random coprime sets, one far beyond any enumeration.
@@ -158,6 +175,29 @@ class TestMixedCylinder:
         assert value > 0
         assert value == sieve_haar_cylinder(bset, entries)
 
+    def test_mask_bits_pass_the_window_gate(self, monkeypatch):
+        # 30 zeros on [2, 3, 5] strike all ten coordinates: 10 x 30 mask bits
+        bset = validate_bset([2, 3, 5])
+        spec = CylinderSpec({n: 0 for n in range(30)})
+        steps = []
+        step = measures._cover_step
+        monkeypatch.setattr(measures, "_cover_step", lambda *a: steps.append(a) or step(*a))
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 200)
+        with pytest.raises(WindowTooLarge):
+            mixed_cylinder(bset, spec)
+        assert steps == []  # refused before the DP started
+        # a cylinder without zeros builds no mask and passes any budget
+        assert mirsky_cylinder(bset, {0}) == Fraction(4, 15)
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", MAX_WINDOW_BITS)
+        assert mixed_cylinder(bset, spec) == 0
+
+    def test_setup_is_linear_in_the_mask_bits(self):
+        # 2^14 odd zeros: the coordinate 1 mod 2 strikes them all, and each of
+        # the 2^14 coordinates mod p that strikes one gets a mask of its own
+        p = 10_000_000_019
+        spec = CylinderSpec({2 * i + 1: 0 for i in range(1 << 14)})
+        assert mixed_cylinder(validate_bset([2, p]), spec) == Fraction(1, 2)
+
     def test_huge_modulus_thirty_zeros(self):
         p = 10_000_000_019
         bset = validate_bset([2, p])
@@ -191,6 +231,33 @@ class TestMixedCylinder:
             for bits in np.ndindex(2, 2, 2)
         )
         assert total == 1
+
+
+@st.composite
+def _moduli_and_classes(draw):
+    moduli = draw(st.sampled_from([(4, 9), (5, 7), (2, 3, 5), (3, 4, 5)]))
+    classes = tuple(
+        frozenset(draw(st.sets(st.integers(0, b - 1), min_size=1, max_size=b - 1)))
+        for b in moduli
+    )
+    return moduli, classes
+
+
+class TestCylinderCore:
+    # Several classes per modulus: masks of one modulus overlap, which no
+    # public caller reaches with more than one modulus.
+    @given(
+        _moduli_and_classes(),
+        st.dictionaries(st.integers(-6, 14), st.integers(0, 1), max_size=10),
+    )
+    @example(((4, 9), ({0, 2}, {0, 3, 6})), {0: 0, 1: 0, 2: 0, 5: 1})
+    @example(((5, 7), ({1}, {2, 4})), {0: 1, 3: 0, 6: 0, 8: 0})
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+    def test_matches_period_enumeration(self, p, system, entries):
+        moduli, classes = system
+        value = measures._cylinder(moduli, classes, CylinderSpec(entries), p)
+        assert value == enumerated_cylinder(moduli, classes, entries, p)
 
 
 class TestSamplers:

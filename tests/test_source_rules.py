@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import bfree
+from bfree import errors
 
 SOURCES = sorted(Path(bfree.__file__).parent.glob("*.py"))
 
@@ -74,3 +75,36 @@ def test_no_recursion(path):
 def test_recursion_rule_sees_nested_functions():
     source = "def outer(xs):\n    def walk(i):\n        return 0 if i == len(xs) else walk(i + 1)\n    return walk(0)\n"
     assert _self_calls(source) == [("walk", 3)]
+
+
+def _raised_names(source):
+    """Names of the exceptions a source raises, as ``raise X`` or ``raise X(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing raises is dead API: callers catch it in vain
+    raised = set().union(*(_raised_names(path.read_text()) for path in SOURCES))
+    classes = [
+        name
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type)
+        and issubclass(cls, errors.BFreeError)
+        and cls is not errors.BFreeError
+        and cls.__module__ == errors.__name__
+    ]
+    dead = sorted(set(classes) - raised)
+    assert classes and not dead, f"errors.py classes raised nowhere: {dead}"
+
+
+def test_raise_rule_sees_calls_and_attributes():
+    source = "def f(x):\n    if x:\n        raise Foo('x')\n    raise errors.Bar\n"
+    assert _raised_names(source) == {"Foo", "Bar"}

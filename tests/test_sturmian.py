@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bfree import measures
 from bfree.admissibility import admissible_words
 from bfree.core import BinaryWord, validate_bset
 from bfree.errors import (
@@ -20,7 +21,7 @@ from bfree.errors import (
     PrecisionExhausted,
     PreconditionUnmet,
     StateSpaceTooLarge,
-    TargetTooLong,
+    TooManyZeros,
     WindowTooLarge,
 )
 from bfree.measures import sample_generalized
@@ -377,7 +378,7 @@ class TestTwoMME:
     @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
     def test_frequency_matches_phase_loop(self, p, system, data):
         c = len(system.block)
-        L = data.draw(st.integers(1, 2 * c))
+        L = data.draw(st.integers(1, 3 * c))
         # a thinned phase window, so that some phase dominates the target
         j = data.draw(st.integers(0, c - 1))
         mask = data.draw(st.lists(st.integers(0, 1), min_size=L, max_size=L))
@@ -388,10 +389,22 @@ class TestTwoMME:
         with pytest.raises(ValueError, match="empty window"):
             mme_block_frequency(two_mme_system()[0], BinaryWord([]), Fraction(1, 2))
 
-    def test_target_too_long(self):
+    def test_target_too_long(self, monkeypatch):
+        # 19 zeros, and all nine phases strike one: at p < 1 the DP stores
+        # min(2^19, 9 + 1) = 10 states, so a budget of 9 refuses the target
         a, _ = two_mme_system()
-        with pytest.raises(TargetTooLong):
-            mme_block_frequency(a, BinaryWord.from_string("0" * 19), Fraction(1, 2))
+        target = BinaryWord.from_string("0" * 19)
+        steps = []
+        step = measures._cover_step
+        monkeypatch.setattr(measures, "_cover_step", lambda *args: steps.append(args) or step(*args))
+        monkeypatch.setattr(measures, "MAX_COVER_STATES", 9)
+        with pytest.raises(TooManyZeros):
+            mme_block_frequency(a, target, Fraction(1, 2))
+        assert steps == []  # refused before any state was built
+        monkeypatch.setattr(measures, "MAX_COVER_STATES", 10)
+        half = Fraction(1, 2)
+        assert mme_block_frequency(a, target, half) == _phase_loop_frequency(a, target, half)
+        assert steps
 
     def test_sampler_matches_exact_law(self):
         a, _ = two_mme_system()
