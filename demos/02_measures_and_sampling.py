@@ -29,7 +29,7 @@ for pattern in [{0}, {0, 2}, {0, 2, 4}]:
     print(f"P(ones at {sorted(pattern)}) = {exact} = {float(exact):.5f}")
 
 batch = sample_mirsky(bset, 0, 6, 50000, seed=3)
-freq = np.mean([w.bits[0] & w.bits[2] for w in batch.words])
+freq = np.mean(batch.bits[:, 0] & batch.bits[:, 2])
 print(f"sampled frequency of ones at {{0, 2}}: {freq:.5f}")
 
 # independent coin-thinning on top of the structural sequence

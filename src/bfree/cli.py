@@ -43,6 +43,25 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction or decimal, got {text!r}") from None
+
+
+def _alpha(text: str) -> str | Fraction:
+    return text if text == "golden" else _fraction(text)
+
+
+def _interval(text: str) -> tuple[Fraction, Fraction]:
+    try:
+        a, b = text.split(":")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}") from None
+    return _fraction(a), _fraction(b)
+
+
 def _parse_profile(bset: BSet, s: tuple[int, ...], a: tuple[tuple[int, ...], ...]) -> sieve.SAProfile:
     return sieve.SAProfile(bset, s, tuple(frozenset(group) for group in a))
 
@@ -88,7 +107,7 @@ def _entropy(args) -> dict:
     if args.formula == "bfree":
         report = entropy.htop_bfree(_bset(args.bset))
     elif args.formula == "product":
-        report = entropy.h_product_type(_bset(args.bset), Fraction(args.p))
+        report = entropy.h_product_type(_bset(args.bset), args.p)
     elif args.formula == "generalized":
         report = entropy.htop_generalized(
             _parse_profile(_bset(args.bset), args.s, args.a)
@@ -114,7 +133,7 @@ def _sample(args) -> dict:
     if args.measure == "mirsky":
         batch = measures.sample_mirsky(bset, lo, hi, args.count, args.seed)
     elif args.measure in ("mme", "product"):
-        p = Fraction(1, 2) if args.measure == "mme" else Fraction(args.p)
+        p = Fraction(1, 2) if args.measure == "mme" else args.p
         batch = measures.sample_product(
             measures.ProductMeasureSpec(bset, p), lo, hi, args.count, args.seed
         )
@@ -122,11 +141,11 @@ def _sample(args) -> dict:
         _require(args, "--measure generalized", "s", "a")
         profile = _parse_profile(bset, args.s, args.a)
         batch = measures.sample_generalized(
-            profile, Fraction(args.p), lo, hi, args.count, args.seed
+            profile, args.p, lo, hi, args.count, args.seed
         )
     return {
         "metadata": json.loads(batch.metadata_json()),
-        "words": [w.to_string() for w in batch.words],
+        "words": [row.tobytes().decode("ascii") for row in batch.bits + ord("0")],
     }
 
 
@@ -166,20 +185,16 @@ def _density(args) -> dict:
 
 
 def _sturmian(args) -> dict:
-    a, b = (Fraction(x) for x in args.interval.split(":"))
     if args.alpha == "golden":
-        coding = sturmian.RotationCoding.golden(Fraction(args.y), (a, b))
+        coding = sturmian.RotationCoding.golden(args.y, args.interval)
     else:
-        coding = sturmian.RotationCoding.from_real(
-            Fraction(args.alpha), Fraction(args.y), (a, b)
-        )
+        coding = sturmian.RotationCoding.from_real(args.alpha, args.y, args.interval)
     lo, hi = args.window
     return {"word": json.loads(sturmian.sturmian_window(coding, lo, hi).to_json())}
 
 
 def _counterexample(args) -> dict:
     sys_a, sys_b = sturmian.two_mme_system()
-    p = Fraction(args.p)
     target = sys_a.block
     return {
         "blocks": [sys_a.block.to_string(), sys_b.block.to_string()],
@@ -188,7 +203,7 @@ def _counterexample(args) -> dict:
         ],
         "target": target.to_string(),
         "frequencies": [
-            str(sturmian.mme_block_frequency(s, target, p)) for s in (sys_a, sys_b)
+            str(sturmian.mme_block_frequency(s, target, args.p)) for s in (sys_a, sys_b)
         ],
     }
 
@@ -253,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("entropy", _entropy)
     p.add_argument("--formula", choices=["bfree", "product", "generalized", "periodic"], required=True)
     p.add_argument("--bset", type=_int_list)
-    p.add_argument("--p")
+    p.add_argument("--p", type=_fraction)
     p.add_argument("--s", type=_int_list)
     p.add_argument("--a", type=_int_groups, help="semicolon-separated residue groups, e.g. 0,2;0,3,6")
     p.add_argument("--block")
@@ -267,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=["mirsky", "mme", "product", "generalized"], required=True)
     p.add_argument("--bset", type=_int_list, required=True)
     p.add_argument("--window", type=_parse_window, required=True)
-    p.add_argument("--p", default="1")
+    p.add_argument("--p", type=_fraction, default="1")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--s", type=_int_list)
@@ -298,14 +313,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True)
 
     p = cmd("sturmian", _sturmian)
-    p.add_argument("--alpha", default="golden", help='"golden" or a rational/decimal in (0,1)')
-    p.add_argument("--y", default="0")
-    p.add_argument("--interval", default="0:1/2")
+    p.add_argument("--alpha", type=_alpha, default="golden",
+                   help='"golden" or a rational/decimal in (0,1)')
+    p.add_argument("--y", type=_fraction, default="0")
+    p.add_argument("--interval", type=_interval, default="0:1/2")
     p.add_argument("--window", type=_parse_window, required=True)
 
     p = cmd("counterexample", _counterexample)
     p.add_argument("which", choices=["two-mme"])
-    p.add_argument("--p", default="1/2")
+    p.add_argument("--p", type=_fraction, default="1/2")
 
     p = cmd("transitive", _transitive)
     p.add_argument("--bset", type=_int_list, required=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -201,20 +202,27 @@ class ProductMeasureSpec:
         object.__setattr__(self, "p", p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Sampled windows plus everything needed to regenerate them.
 
-    ``omegas`` holds the (count, K) odometer point behind each sampled
-    word (coordinates mod the sampled odometer's moduli); it is ``None``
-    for batches not drawn by a sampler.
+    ``bits`` is the read-only (count, L) uint8 block of the sampled windows,
+    every row over [lo, lo + L); ``words`` gives its rows as
+    :class:`BinaryWord` views, built on first use.  ``omegas`` holds the
+    (count, K) odometer point behind each row (coordinates mod the sampled
+    odometer's moduli); it is ``None`` for batches not drawn by a sampler.
     """
 
-    words: tuple[BinaryWord, ...]
+    bits: np.ndarray = field(repr=False)
+    lo: int
     seed: int
     spec: dict = field(default_factory=dict)
     generator: str = GENERATOR_ID
-    omegas: np.ndarray | None = field(default=None, compare=False, repr=False)
+    omegas: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def words(self) -> tuple[BinaryWord, ...]:
+        return BinaryWord._views(self.bits, [self.lo] * len(self.bits))
 
     def metadata_json(self) -> str:
         return json.dumps(
@@ -260,7 +268,8 @@ def _batch(measure: str, moduli, classes, draw_moduli, p, lo, hi, count, seed, /
     # arguments are positional-only, so a spec key may be "p".
     block, omegas = _sample(moduli, classes, draw_moduli, p, lo, hi, count, seed)
     return SampleBatch(
-        BinaryWord._views(block, [int(lo)] * count),
+        block,
+        int(lo),
         seed,
         {"measure": measure, "moduli": list(moduli), **spec, "window": [lo, hi], "count": count},
         omegas=omegas,
@@ -303,28 +312,17 @@ def sample_generalized(
 
 
 def mask_batch(base: SampleBatch, kappa: SampleBatch) -> SampleBatch:
-    """Coordinatewise product of two aligned batches.
+    """Coordinatewise product of two batches over the same window.
 
     Composes a coding batch with an arbitrary caller-supplied mask batch;
-    no ergodicity claim is made about the result.
+    no ergodicity claim is made about the result, so it has no ``omegas``.
     """
-    if len(base.words) != len(kappa.words):
-        raise LengthMismatch("batches must have the same number of words")
-    for w, m in zip(base.words, kappa.words):
-        if w.offset != m.offset or len(w) != len(m):
-            raise LengthMismatch("batch windows must be aligned")
-    words: tuple[BinaryWord, ...] = ()
-    if base.words:
-        bits = np.concatenate([w.bits for w in base.words])
-        bits &= np.concatenate([m.bits for m in kappa.words])
-        bits.setflags(write=False)
-        ends = np.cumsum([w.bits.size for w in base.words]).tolist()
-        rows = [bits[end - w.bits.size : end] for w, end in zip(base.words, ends)]
-        words = BinaryWord._views(rows, [w.offset for w in base.words])
+    if base.bits.shape != kappa.bits.shape or base.lo != kappa.lo:
+        raise LengthMismatch("batches must have one shape and one window")
+    bits = base.bits & kappa.bits
+    bits.setflags(write=False)
     return SampleBatch(
-        words,
-        base.seed,
-        {"measure": "masked", "base": base.spec, "mask": kappa.spec},
+        bits, base.lo, base.seed, {"measure": "masked", "base": base.spec, "mask": kappa.spec}
     )
 
 
@@ -392,19 +390,14 @@ def _distinct_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def empirical_block_distribution(batch: SampleBatch, n: int) -> dict[str, float]:
-    """Frequencies of all n-sub-words across every word and position."""
+    """Frequencies of all n-blocks across every row and position, keys in
+    ascending binary order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    by_length: dict[int, list[np.ndarray]] = {}
-    for w in batch.words:
-        if n > len(w):
-            raise ValueError("n exceeds the window length")
-        by_length.setdefault(len(w), []).append(w.bits)
-    counts: dict[str, int] = {}
-    for rows in by_length.values():
-        codes, freqs = _distinct_counts(_block_codes(np.stack(rows), n))
-        for code, c in zip(codes.tolist(), freqs.tolist()):
-            key = format(code, f"0{n}b")
-            counts[key] = counts.get(key, 0) + c
-    total = sum(counts.values())
-    return {block: c / total for block, c in counts.items()}
+    if not len(batch.bits):
+        return {}
+    if n > batch.bits.shape[1]:
+        raise ValueError("n exceeds the window length")
+    codes, counts = _distinct_counts(_block_codes(batch.bits, n))
+    total = counts.sum().item()
+    return {format(code, f"0{n}b"): c / total for code, c in zip(codes.tolist(), counts.tolist())}

@@ -211,6 +211,29 @@ class TestFormatsAndErrors:
         out, err = capsys.readouterr()
         assert out == "" and f"requires {flag}" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["entropy", "--formula", "product", "--bset", "2,3", "--p", "1/0"], "--p"),
+        (["entropy", "--formula", "product", "--bset", "2,3", "--p", "x"], "--p"),
+        (["sample", "--measure", "product", "--bset", "2,3", "--window", "0:6", "--p", "1/x"], "--p"),
+        (["sturmian", "--window", "0:8", "--interval", "0"], "--interval"),
+        (["sturmian", "--window", "0:8", "--interval", "0:x"], "--interval"),
+        (["sturmian", "--window", "0:8", "--alpha", "abc"], "--alpha"),
+        (["sturmian", "--window", "0:8", "--y", "1/0"], "--y"),
+        (["counterexample", "two-mme", "--p", "q"], "--p"),
+    ])
+    def test_malformed_fraction_exit_2(self, capsys, argv, flag):
+        # these exited 1 with a ValueError, or 1/0 with a ZeroDivisionError traceback
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and flag in err
+
+    def test_fraction_out_of_range_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "sturmian", "--window", "0:8", "--y", "2")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eta", "--window", "0:6"])

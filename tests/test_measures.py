@@ -92,6 +92,13 @@ def sliced_frequencies(texts, n):
     return {b: c / total for b, c in counts.items()}
 
 
+def block_batch(texts, lo=0):
+    """A batch over [lo, lo + L) whose rows are the equal-length ``texts``."""
+    bits = np.array([[int(c) for c in t] for t in texts], dtype=np.uint8)
+    bits.setflags(write=False)
+    return SampleBatch(bits, lo, 0)
+
+
 class TestMirskyCylinder:
     def test_single_position(self):
         assert mirsky_cylinder(validate_bset([2, 3]), {0}) == Fraction(1, 3)
@@ -468,6 +475,23 @@ class TestSamplerContractV2:
             assert batch.words == ()
             assert batch.omegas.shape == (0, 2)
             assert batch.spec["count"] == 0
+            assert empirical_block_distribution(batch, 3) == {}
+
+    def test_generalized_law_matches_cylinder_engine_past_enumeration(self):
+        # the period 4 * 9 * 25 * 49 * 121 = 5336100 is beyond enumerated_cylinder;
+        # every 4-block's share lies within 4 sigma of the exact coverage DP
+        bset = squarefree_family(5)
+        a = tuple(map(frozenset, ({1}, {0, 4}, {0, 7, 11}, {2, 5}, {0, 3, 40})))
+        prof = SAProfile(bset, tuple(map(len, a)), a)
+        assert math.prod(prof.odometer_moduli) == 5336100
+        half, lo, count = Fraction(1, 2), 3, 200_000
+        batch = sample_generalized(prof, half, lo, lo + 4, count, seed=29)
+        shares = np.bincount(batch.bits @ np.array([8, 4, 2, 1]), minlength=16) / count
+        for code, share in enumerate(shares.tolist()):
+            pattern = {lo + i: code >> (3 - i) & 1 for i in range(4)}
+            exact = float(measures._cylinder(bset.moduli, prof.a, CylinderSpec(pattern), half))
+            sigma = math.sqrt(exact * (1 - exact) / count)
+            assert abs(share - exact) <= 4 * sigma, (pattern, share, exact)
 
 
 class TestMaskBatch:
@@ -487,13 +511,16 @@ class TestMaskBatch:
                 sample_mirsky(bset, 0, 6, 6, seed=1),
             )
 
-    def test_ragged_batches(self):
-        words = tuple(BinaryWord.from_string(t, o) for t, o in (("1101", 0), ("011", 5)))
-        masks = tuple(BinaryWord.from_string(t, o) for t, o in (("0111", 0), ("110", 5)))
-        out = mask_batch(SampleBatch(words, 0), SampleBatch(masks, 0))
-        assert [w.to_string() for w in out.words] == ["0101", "010"]
-        assert [w.offset for w in out.words] == [0, 5]
+    def test_offsets_must_match(self):
+        base, kappa = block_batch(["1101", "0110"], 5), block_batch(["0111", "1100"], 5)
+        with pytest.raises(LengthMismatch):
+            mask_batch(base, block_batch(["0111", "1100"], 4))
+        out = mask_batch(base, kappa)
+        assert [w.to_string() for w in out.words] == ["0101", "0100"]
+        assert [w.offset for w in out.words] == [5, 5]
         assert out.omegas is None
+        with pytest.raises(ValueError):
+            out.bits[0, 0] = 1
 
 
 class TestSqueezeEmbed:
@@ -589,13 +616,17 @@ class TestEmpiricalBlockDistribution:
         assert abs(hits / n - expected) < 4 * sigma
 
     @given(
-        st.lists(st.text(alphabet="01", min_size=1, max_size=24), min_size=1, max_size=6),
+        st.integers(1, 24).flatmap(
+            lambda size: st.lists(
+                st.text(alphabet="01", min_size=size, max_size=size), min_size=1, max_size=6
+            )
+        ),
         st.integers(1, 12),
     )
     @settings(max_examples=100)
     def test_matches_string_slicing(self, texts, n):
-        batch = SampleBatch(tuple(BinaryWord.from_string(t) for t in texts), 0)
-        if n > min(map(len, texts)):
+        batch = block_batch(texts)
+        if n > len(texts[0]):
             with pytest.raises(ValueError):
                 empirical_block_distribution(batch, n)
             return
@@ -608,7 +639,7 @@ class TestEmpiricalBlockDistribution:
             "from bfree.measures import SampleBatch, empirical_block_distribution\n"
             "from bfree.core import BinaryWord\n"
             "from bfree.sturmian import RotationCoding, collect_blocks\n"
-            "batch = SampleBatch((BinaryWord.from_string('0110' * 20),), 0)\n"
+            "batch = SampleBatch(BinaryWord.from_string('0110' * 20).bits[None], 0, 0)\n"
             "assert empirical_block_distribution(batch, 3)\n"
             "assert empirical_block_distribution(batch, 70)\n"
             "assert collect_blocks(RotationCoding.golden(), 4)\n"
@@ -623,9 +654,9 @@ class TestEmpiricalBlockDistribution:
 
     def test_blocks_longer_than_an_int64(self):
         rng = np.random.default_rng(8)
-        texts = ["".join(map(str, rng.integers(0, 2, size))) for size in (66, 70, 70, 90)]
+        texts = ["".join(map(str, rng.integers(0, 2, 90))) for _ in range(3)]
         texts.append(texts[1])  # repeated blocks must add up
-        texts += ["0" + texts[1], "1" + texts[1]]  # their first 66-blocks differ in the first bit only
-        batch = SampleBatch(tuple(BinaryWord.from_string(t) for t in texts), 0)
+        texts += ["0" + texts[1][:-1], "1" + texts[1][:-1]]  # their first 66-blocks differ in the first bit only
+        batch = block_batch(texts)
         for n in (62, 63, 64, 66):
             assert empirical_block_distribution(batch, n) == sliced_frequencies(texts, n)

@@ -108,3 +108,25 @@ def test_every_error_class_is_raised():
 def test_raise_rule_sees_calls_and_attributes():
     source = "def f(x):\n    if x:\n        raise Foo('x')\n    raise errors.Bar\n"
     assert _raised_names(source) == {"Foo", "Bar"}
+
+
+def _words_reads(source):
+    """Lines that read a ``.words`` attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "words"
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_batches_read_through_bits(path):
+    # a SampleBatch is its (count, L) block; the BinaryWord row views are for
+    # callers outside the package, so no package code pays to build them
+    lines = _words_reads(path.read_text())
+    assert not lines, f"{path.name} reads .words at lines {lines}"
+
+
+def test_words_rule_sees_attribute_reads():
+    source = "def f(batch):\n    return [w.bits for w in batch.words]\n"
+    assert _words_reads(source) == [2]
