@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinaryWord, BSet
-from .errors import Inadmissible, StateSpaceTooLarge
+from .errors import BudgetExceeded, Inadmissible, StateSpaceTooLarge
 
 __all__ = [
     "SpectrumProfile",
@@ -32,6 +32,10 @@ __all__ = [
 # missed-class sets, prod_{k<K} (2^{b_k} - 1) < 2^{sum b_k} of them, so
 # cap sum b_k.
 MAX_STATE_BITS = 24
+
+# theta_window and spectrum_profile list the residues a word misses, one
+# set entry each, so cap b - |H_k| before any set is built.
+MAX_MISSING_RESIDUES = 1 << 16
 
 
 def _hit_residues(positions, moduli: tuple[int, ...]) -> list[frozenset[int]]:
@@ -154,25 +158,42 @@ def admissible_words(bset: BSet, n: int):
 
     Depth-first with exact pruning: a prefix is extendable iff its support
     already misses a residue mod every modulus (the all-zero extension
-    then works), so no dead branches are visited.  The search keeps its
-    own stack, so n is not limited by the recursion depth.
+    then works), so no dead branches are visited.
+
+    The state is one int.  Each modulus b <= n owns b residue bits (bit r
+    set iff the prefix has a 1 at a position r mod b) and a guard bit above
+    them; a larger modulus cannot be covered by n positions and gets none.
+    A 1 at position i is allowed iff ``((state | steps[i]) + low) & guard``
+    is 0, since adding a field's low bit carries into its guard only when
+    the field is full.  Each stack entry is one word, its prefix up to its
+    last 1 followed by zeros; it pushes the 1s its zero tail allows, so the
+    deepest pops first.  The search keeps its own stack, so n is not
+    limited by the recursion depth.
     """
-    mods = bset.moduli
-    # A state holds, per modulus, an int with bit r set iff the prefix has a
-    # 1 at a position r mod b_k; positions stay below n, so the ints stay small.
-    steps = [tuple(1 << r for hit in _hit_residues([i], mods) for r in hit) for i in range(n)]
-    word: list[str] = []
-    stack = [(0, "", tuple(0 for _ in mods))]  # (length, last symbol, state)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    steps, low, guard, shift = [0] * n, 0, 0, 0
+    for b in bset.moduli:
+        if b <= n:
+            low |= 1 << shift
+            guard |= 1 << (shift + b)
+            for i in range(n):
+                steps[i] |= 1 << (shift + i % b)
+            shift += b + 1
+    tail = [(i + 1, step) for i, step in enumerate(steps)]
+    one = "1" + "0" * n
+    word = "0" * n
+    stack = [(0, 0)]  # (length of the word's prefix up to its last 1, state)
+    pop, push = stack.pop, stack.append
     while stack:
-        i, bit, state = stack.pop()
-        word[i - len(bit):] = bit  # the symbol at position i - 1, if any
-        if i == n:
-            yield "".join(word)
-            continue
-        grown = tuple(f | s for f, s in zip(state, steps[i]))
-        if all(f.bit_count() < b for f, b in zip(grown, mods)):
-            stack.append((i + 1, "1", grown))
-        stack.append((i + 1, "0", state))  # on top, so "0" comes first
+        i, state = pop()
+        if i:  # the word on top shares the previous one's first i - 1 bits
+            word = word[: i - 1] + one[: n - i + 1]
+        yield word
+        for j, step in tail[i:]:
+            grown = state | step
+            if not (grown + low) & guard:
+                push((j, grown))
 
 
 def entropy_from_complexity(p: list[int]) -> list[float]:
@@ -187,6 +208,21 @@ def entropy_from_complexity(p: list[int]) -> list[float]:
     return [math.log2(x) / (i + 1) for i, x in enumerate(p)]
 
 
+def _missing_residues(word: BinaryWord, bset: BSet) -> list[frozenset[int]]:
+    """Residues mod each b_k that the word's support misses.
+
+    Raises :class:`BudgetExceeded` before any set is built when some
+    modulus would list more than ``MAX_MISSING_RESIDUES`` of them.
+    """
+    hits = _hit_residues(word.support, bset.moduli)
+    for h, b in zip(hits, bset.moduli):
+        if b - len(h) > MAX_MISSING_RESIDUES:
+            raise BudgetExceeded(
+                f"{b - len(h)} missing residues mod {b} exceed budget {MAX_MISSING_RESIDUES}"
+            )
+    return [frozenset(range(b)).difference(h) for h, b in zip(hits, bset.moduli)]
+
+
 def theta_window(word: BinaryWord, bset: BSet) -> list[frozenset[int] | None]:
     """Candidate odometer coordinates recovered from a finite window.
 
@@ -196,11 +232,10 @@ def theta_window(word: BinaryWord, bset: BSet) -> list[frozenset[int] | None]:
     to decide; ``None`` means the support covers every residue (the word is
     inadmissible at that modulus).  Ambiguity is reported, never guessed.
     """
-    out: list[frozenset[int] | None] = []
-    for hits, b in zip(residue_hits(word, bset), bset.moduli):
-        missing = set(range(b)) - hits
-        out.append(frozenset((-a) % b for a in missing) if missing else None)
-    return out
+    return [
+        frozenset((-a) % b for a in missing) if missing else None
+        for missing, b in zip(_missing_residues(word, bset), bset.moduli)
+    ]
 
 
 def minimal_translation_period(residues: frozenset[int] | set[int], b: int) -> int:
@@ -244,8 +279,7 @@ def spectrum_profile(word: BinaryWord, bset: BSet) -> SpectrumProfile:
     the offending modulus index otherwise.
     """
     entries = []
-    for k, (hits, b) in enumerate(zip(residue_hits(word, bset), bset.moduli)):
-        missing = frozenset(set(range(b)) - hits)
+    for k, (missing, b) in enumerate(zip(_missing_residues(word, bset), bset.moduli)):
         if not missing:
             raise Inadmissible(k)
         entries.append((b, len(missing), missing, minimal_translation_period(missing, b)))

@@ -50,6 +50,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a fraction or decimal, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """A sampler seed, an integer in [0, 2^64)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {seed} is outside [0, 2^64)")
+    return seed
+
+
 def _alpha(text: str) -> str | Fraction:
     return text if text == "golden" else _fraction(text)
 
@@ -284,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_parse_window, required=True)
     p.add_argument("--p", type=_fraction, default="1")
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--s", type=_int_list)
     p.add_argument("--a", type=_int_groups)
 

@@ -240,6 +240,8 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
     _check_window(lo, hi, rows=count)
     rngs = [
         np.random.Generator(np.random.Philox(key=(int(seed) << 64) | c))

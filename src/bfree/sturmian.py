@@ -72,6 +72,9 @@ MAX_ORBIT_BITS = 1 << 21
 # Stages transitive_closure_point runs before giving up on reaching length.
 MAX_STAGES = 64
 
+# hereditary_closure_count enumerates at most 2^MAX_DOMINATED_BITS dominated words.
+MAX_DOMINATED_BITS = 24
+
 
 def _to_fixed(x) -> int:
     """Truncate a real in [0, 1] to 128 fractional bits."""
@@ -276,11 +279,13 @@ def hereditary_closure_count(blocks: Iterable[str]) -> int:
     """Number of words dominated by at least one of the given blocks.
 
     It enumerates 2^ones words per block, so it raises StateSpaceTooLarge
-    up front when their sum exceeds 2^``admissibility.MAX_STATE_BITS``.
+    up front when their sum exceeds 2^``MAX_DOMINATED_BITS``.
     """
-    blocks, cap = list(blocks), admissibility.MAX_STATE_BITS
-    if sum(1 << block.count("1") for block in blocks) > 1 << cap:
-        raise StateSpaceTooLarge(f"dominated words of the blocks exceed budget 2^{cap}")
+    blocks = list(blocks)
+    if sum(1 << block.count("1") for block in blocks) > 1 << MAX_DOMINATED_BITS:
+        raise StateSpaceTooLarge(
+            f"dominated words of the blocks exceed budget 2^{MAX_DOMINATED_BITS}"
+        )
     seen: set[int] = set()
     for block in blocks:
         seen.update(_dominated_masks(block))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfree import admissibility
 from bfree.admissibility import (
+    MAX_STATE_BITS,
     admissible_words,
     block_complexity,
     entropy_from_complexity,
@@ -15,8 +17,8 @@ from bfree.admissibility import (
     spectrum_profile,
     theta_window,
 )
-from bfree.core import BinaryWord, OdometerPoint, validate_bset
-from bfree.errors import Inadmissible, StateSpaceTooLarge
+from bfree.core import BinaryWord, BSet, OdometerPoint, validate_bset
+from bfree.errors import BudgetExceeded, Inadmissible, StateSpaceTooLarge
 from bfree.sieve import SAProfile, eta_window, phi_sa_window, phi_window
 from count_oracle import block_complexity_dp, closed_form_count
 
@@ -32,7 +34,8 @@ def exhaustive_admissible(moduli, n):
     ok = np.ones(1 << n, dtype=bool)
     for b in moduli:
         covered = np.ones(1 << n, dtype=bool)
-        for r in range(b):
+        # classes n..b-1 hold no position, so one of them (r = n) suffices
+        for r in range(min(b, n + 1)):
             mask = np.uint64(sum(1 << j for j in range(n) if j % b == r))
             covered &= (words & mask) != 0
         ok &= ~covered
@@ -144,6 +147,31 @@ class TestBlockComplexity:
     def test_words_deeper_than_recursion_limit(self):
         assert next(admissible_words(validate_bset([2, 3]), 5000)) == "0" * 5000
 
+    @given(
+        st.lists(st.integers(2, 20), max_size=4, unique=True),
+        st.booleans(),
+        st.integers(1, 14),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_words_against_exhaustive_search(self, moduli, huge, n):
+        # admissibility needs no coprimality, so the set is built unvalidated
+        moduli = sorted(moduli) + [10**10 + 19] * huge
+        bset = BSet(tuple(moduli))
+        words = list(admissible_words(bset, n))
+        assert words == exhaustive_words(moduli, n)
+        if sum(moduli) <= MAX_STATE_BITS:
+            assert len(words) == block_complexity(bset, n)[-1]
+
+    @pytest.mark.parametrize("moduli, n", [((2, 3), 20), ((4, 9), 13)])
+    def test_words_at_benchmark_shapes(self, moduli, n):
+        # with [2, 3, 5] at n = 16, the shapes of perfbench's exact workload
+        assert list(admissible_words(validate_bset(moduli), n)) == exhaustive_words(moduli, n)
+
+    def test_word_length_domain(self):
+        assert list(admissible_words(validate_bset([2, 3]), 0)) == [""]
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            next(admissible_words(validate_bset([2, 3]), -1))
+
     @pytest.mark.parametrize("moduli", [[2], [2, 3], [3, 4]])
     def test_domination_lower_bound(self, moduli):
         # at full-period lengths, subsets of the free support give 2^(d n)
@@ -204,6 +232,28 @@ class TestThetaWindow:
             frozenset({omega.residues[0]}),
             frozenset({omega.residues[1]}),
         ]
+
+
+class TestMissingResidueBudget:
+    def test_refused_before_listing(self):
+        # listing the ~10^10 residues that "101" misses would not fit in memory
+        bset = validate_bset([2, 10**10 + 19])
+        word = BinaryWord.from_string("101")
+        with pytest.raises(BudgetExceeded, match="10000000017 missing residues"):
+            theta_window(word, bset)
+        with pytest.raises(BudgetExceeded):
+            spectrum_profile(word, bset)
+
+    def test_budget_edge(self, monkeypatch):
+        bset = validate_bset([5, 7])
+        word = BinaryWord.from_string("1101")  # misses 2 classes mod 5, 4 mod 7
+        monkeypatch.setattr(admissibility, "MAX_MISSING_RESIDUES", 4)
+        assert theta_window(word, bset) == [frozenset({1, 3}), frozenset({1, 2, 3, 5})]
+        assert spectrum_profile(word, bset).entries[1] == (7, 4, frozenset({2, 4, 5, 6}), 7)
+        monkeypatch.setattr(admissibility, "MAX_MISSING_RESIDUES", 3)
+        for f in (theta_window, spectrum_profile):
+            with pytest.raises(BudgetExceeded, match="4 missing residues mod 7"):
+                f(word, bset)
 
 
 class TestMinimalTranslationPeriod:

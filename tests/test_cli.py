@@ -229,6 +229,16 @@ class TestFormatsAndErrors:
         out, err = capsys.readouterr()
         assert out == "" and flag in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+    def test_seed_out_of_range_exit_2(self, capsys, seed):
+        # "-1" exited 1 with numpy's Philox key error
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--measure", "mirsky", "--bset", "2,3", "--window", "0:4",
+                  "--count", "2", "--seed", seed])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--seed" in err
+
     def test_fraction_out_of_range_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, "sturmian", "--window", "0:8", "--y", "2")
         assert code == 1 and out == ""

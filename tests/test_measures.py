@@ -275,6 +275,17 @@ class TestSamplers:
         assert a.words == b.words
         assert a.generator == GENERATOR_ID
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**70)])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_seed_domain(self, seed, count):
+        # a negative seed reached numpy's Philox key check, and only when count > 0
+        with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+            sample_mirsky(validate_bset([2, 3]), 0, 4, count, seed)
+
+    def test_largest_seed(self):
+        batch = sample_mirsky(validate_bset([2, 3]), 0, 4, 3, 2**64 - 1)
+        assert batch.bits.shape == (3, 4) and batch.seed == 2**64 - 1
+
     def test_two_phase_words(self):
         batch = sample_mirsky(validate_bset([2]), 0, 2, 50, seed=1)
         assert {w.to_string() for w in batch.words} <= {"01", "10"}

@@ -233,7 +233,7 @@ class TestHereditaryClosure:
         with pytest.raises(StateSpaceTooLarge):
             hereditary_closure_count(["1" * 25])
         # the sum over all blocks is refused before any block is enumerated
-        monkeypatch.setattr("bfree.admissibility.MAX_STATE_BITS", 4)
+        monkeypatch.setattr("bfree.sturmian.MAX_DOMINATED_BITS", 4)
         assert hereditary_closure_count(["1111"]) == 16
         monkeypatch.setattr("bfree.sturmian._dominated_masks", None)
         with pytest.raises(StateSpaceTooLarge):
