@@ -209,7 +209,7 @@ class BinaryWord:
 
     @property
     def ones(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def shifted(self, t: int) -> "BinaryWord":
         """Same bits, offset moved by t; support moves by t exactly."""

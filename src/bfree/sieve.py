@@ -1,13 +1,20 @@
 """Windowed generation of multiple-free indicator sequences.
 
-Windows are produced by a wheel-prefilled residue sieve.  The smallest
-moduli, while their product P stays at most min(2^16, L // 64), form the
-wheel: their forbidden classes are struck once into a P-column block of
-ones, which is P-periodic in the position and so is tiled across the
-window.  Each class of the remaining moduli is then struck by strided
-assignment.  Work is O(L + sum over the other moduli of s_k L / b_k), so
-10^8-size windows stay feasible.  One kernel strikes a whole (rows, L)
-block of codings at once; a single window is its one-row case.
+Windows are produced by a segmented, wheel-prefilled residue sieve.  The
+smallest moduli, while their product P stays at most min(2^16, L // 64),
+form the wheel: their forbidden classes are struck once into a P-column
+block of ones, which is P-periodic in the position.  The window is then
+filled one segment at a time, a column slice of whole periods holding
+about 2^20 bytes: the wheel is tiled into the segment and each class of
+the remaining moduli is struck there by strided assignment while the
+segment is still in cache.  Only a one-row window longer than 2^20 bits
+is cut; a block of several rows is one segment, since cutting it would
+repeat every row group's strike in each segment.  Work is
+O(L + sum over the other moduli of s_k L / b_k) per row, plus one strike
+call per class and segment, so 10^8-size windows stay feasible; memory
+is the block itself plus one (rows, P) wheel.  One kernel strikes a
+whole (rows, L) block of codings at once; a single window is its one-row
+case.
 """
 
 from __future__ import annotations
@@ -40,6 +47,11 @@ MAX_WINDOW_BITS = 2**30
 _WHEEL_MAX = 2**16
 _WHEEL_REPEATS = 64
 
+# A one-row window is filled and struck one segment at a time: a column
+# slice of whole wheel periods holding about _SEGMENT_BYTES, so every
+# strike on it lands while the freshly tiled segment is still in cache.
+_SEGMENT_BYTES = 2**20
+
 
 def _check_window(lo: int, hi: int, rows: int = 1) -> None:
     # Refuse an empty window, then a block past the budget, before any work.
@@ -49,17 +61,18 @@ def _check_window(lo: int, hi: int, rows: int = 1) -> None:
         raise WindowTooLarge(f"{rows} x {hi - lo} window bits exceed budget {MAX_WINDOW_BITS}")
 
 
-def _strike_rows(block: np.ndarray, lo: int, moduli, classes, omegas: np.ndarray) -> None:
-    """Zero ``block[i, n - lo]`` wherever (omegas[i, k] + n) mod b_k lies in classes[k].
+def _plan_strikes(lo: int, moduli, classes, omegas: np.ndarray) -> list:
+    """(rows, first column, stride) of each strided strike on a block over [lo, ...).
 
-    ``block`` is a (rows, L) uint8 array over [lo, lo + L) and ``omegas`` a
-    (rows, K) integer array of odometer coordinates.  Per modulus the rows
-    are grouped by coordinate (one group when there is one row), and each
-    (group, class) is one strided assignment, so the work is
-    O(rows * sum_k s_k L / b_k) and never O(rows * L * K).
+    ``omegas`` is a (rows, K) integer array of odometer coordinates; the
+    strikes zero column n - lo of a row wherever (omegas[i, k] + n) mod b_k
+    lies in classes[k].  Per modulus the rows are grouped by coordinate (one
+    group when there is one row), and each (group, class) is one strided
+    strike, so the work is O(rows * sum_k s_k L / b_k), never O(rows * L * K).
     """
-    if not len(block):
-        return
+    if not len(omegas):
+        return []
+    plan = []
     for k, (b, ak) in enumerate(zip(moduli, classes)):
         col = omegas[:, k]
         if len(col) == 1:
@@ -75,15 +88,23 @@ def _strike_rows(block: np.ndarray, lo: int, moduli, classes, omegas: np.ndarray
         for rows, r in groups:
             r = int(r)
             for a in ak:
-                block[rows, (a - r - lo) % b :: b] = 0
+                plan.append((rows, (a - r - lo) % b, b))
+    return plan
+
+
+def _strike(block: np.ndarray, plan, start: int, stop: int) -> None:
+    # Apply a strike plan to columns [start, stop) of the block.
+    for rows, first, b in plan:
+        block[rows, start + (first - start) % b : stop : b] = 0
 
 
 def _sieve(lo: int, hi: int, moduli, classes, omegas: np.ndarray) -> np.ndarray:
     """Writable (rows, hi - lo) uint8 codings, one row per row of ``omegas``.
 
     Bit (i, n - lo) is 1 iff (omegas[i, k] + n) mod b_k avoids classes[k]
-    for every k.  The wheel moduli are struck into a (rows, P) block that
-    is tiled across the window; :func:`_strike_rows` strikes the rest.
+    for every k.  The wheel moduli are struck into a (rows, P) block; each
+    segment of the window is tiled from it and then struck by the plan of
+    the remaining moduli.
     """
     rows, length = len(omegas), hi - lo
     _check_window(lo, hi, rows)
@@ -91,17 +112,28 @@ def _sieve(lo: int, hi: int, moduli, classes, omegas: np.ndarray) -> np.ndarray:
     while w < len(moduli) and period * moduli[w] <= cap:
         period *= moduli[w]
         w += 1
-    if w == 0:
-        block = np.ones((rows, length), dtype=np.uint8)
-    else:
-        wheel = np.ones((rows, period), dtype=np.uint8)
-        _strike_rows(wheel, lo, moduli[:w], classes[:w], omegas[:, :w])
-        block = np.empty((rows, length), dtype=np.uint8)
-        tiled = length - length % period
-        # splitting the unit-stride column axis is always a view, never a copy
-        block[:, :tiled].reshape(rows, tiled // period, period)[...] = wheel[:, None, :]
-        block[:, tiled:] = wheel[:, : length - tiled]
-    _strike_rows(block, lo, moduli[w:], classes[w:], omegas[:, w:])
+    wheel = np.ones((rows, period), dtype=np.uint8)
+    _strike(wheel, _plan_strikes(lo, moduli[:w], classes[:w], omegas[:, :w]), 0, period)
+    plan = _plan_strikes(lo, moduli[w:], classes[w:], omegas[:, w:])
+    block = np.empty((rows, length), dtype=np.uint8)
+    # Only a long one-row window is cut: a block of several rows would
+    # repeat every row group's index-array strike in each segment.
+    width = length
+    if rows == 1 and length > _SEGMENT_BYTES:
+        width = max(1, _SEGMENT_BYTES // period) * period
+    for start in range(0, length, width):
+        stop = min(start + width, length)
+        if not w:
+            # no wheel: a scalar fill, several times faster than tiling a
+            # one-column wheel of ones over short rows
+            block[:, start:stop] = 1
+        else:
+            tiled = stop - (stop - start) % period
+            # segments start on whole periods, and splitting the unit-stride
+            # column axis is always a view, never a copy
+            block[:, start:tiled].reshape(rows, (tiled - start) // period, period)[...] = wheel[:, None, :]
+            block[:, tiled:stop] = wheel[:, : stop - tiled]
+        _strike(block, plan, start, stop)
     return block
 
 
@@ -179,11 +211,14 @@ def phi_sa_window(
 ) -> BinaryWord:
     """Generalized coding: forbid n == a_i^k - omega(k) (mod b_k) for all k, i.
 
-    ``omega`` may be an :class:`OdometerPoint` over the full moduli or a raw
-    residue sequence; coordinates are used mod b'_k (any lift of omega(k)
-    gives the same window because a^k is b'_k-translation invariant).
+    ``omega`` may be an :class:`OdometerPoint` over the profile's moduli (a
+    point over other moduli raises ``ValueError``) or a raw residue
+    sequence; coordinates are used mod b'_k (any lift of omega(k) gives the
+    same window because a^k is b'_k-translation invariant).
     Degenerates to :func:`phi_window` when every s_k = 1 and a^k = {0}.
     """
+    if isinstance(omega, OdometerPoint) and omega.bset.moduli != profile.bset.moduli:
+        raise ValueError(f"point over moduli {omega.bset.moduli}, profile over {profile.bset.moduli}")
     residues = omega.residues if isinstance(omega, OdometerPoint) else tuple(omega)
     if len(residues) != len(profile.bset):
         raise ValueError("one odometer coordinate per modulus required")

@@ -141,6 +141,16 @@ class TestPhiSaWindow:
             w = phi_sa_window(prof, (0, 0), 0, N * 36)
             assert w.density() == prof.free_density()
 
+    def test_point_over_other_moduli_refused(self):
+        # the coordinates of a point over other moduli would be read as the
+        # profile's, giving a coding of no point at all
+        prof = SAProfile.plain(validate_bset([4, 9]))
+        with pytest.raises(ValueError, match="moduli"):
+            phi_sa_window(prof, OdometerPoint(validate_bset([5, 7]), (3, 4)), 0, 20)
+        assert phi_sa_window(prof, OdometerPoint(prof.bset, (3, 4)), 0, 20) == phi_sa_window(
+            prof, (3, 4), 0, 20
+        )
+
 
 class TestOneDensity:
     def test_values(self):
@@ -247,3 +257,104 @@ class TestWheelSieve:
             with pytest.raises(ValueError):
                 word.bits[0] = 1
             assert not word.bits.base.flags.writeable
+
+
+class TestSegmentedSieve:
+    """Windows cut into many segments by a segment of a few hundred bytes.
+
+    A one-row window longer than ``_SEGMENT_BYTES`` is filled and struck
+    one column slice of whole wheel periods at a time, so with the constant
+    shrunk every window below crosses segment boundaries, with the wheel
+    engaged once L >= 64 * b_1 and without it below that.  A block of
+    several rows stays one segment.
+    """
+
+    @given(
+        profiles(),
+        st.lists(st.integers(-(10**20), 10**20), min_size=4, max_size=4),
+        st.one_of(st.integers(-(2**70), 2**70), st.integers(-(2**63) - 40_000, -(2**63))),
+        st.integers(1, 30_000),
+        st.integers(200, 700),
+        st.sampled_from(["eta", "phi", "phi_sa"]),
+    )
+    @example(SAProfile.plain(validate_bset([2, 3, 5, 7])), [0] * 4, -(2**64) - 3, 64 * 210 + 11, 500, "eta")
+    @example(SAProfile.plain(squarefree_family(3)), [10**20] * 4, 2**63 - 5, 64 * 900 + 899, 300, "phi")
+    @settings(max_examples=80, deadline=None)
+    def test_one_row_codings_match_modular_oracle(self, profile, residues, lo, span, segment, kind):
+        bset, hi = profile.bset, lo + span
+        residues, classes = residues[: len(bset)], [(0,)] * len(bset)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
+            if kind == "eta":
+                residues = [0] * len(bset)
+                word = eta_window(bset, lo, hi)
+            elif kind == "phi":
+                word = phi_window(OdometerPoint(bset, residues), lo, hi)
+            else:
+                classes = profile.a
+                word = phi_sa_window(profile, residues, lo, hi)
+        assert word.offset == lo
+        assert np.array_equal(word.bits, coding_oracle(bset.moduli, classes, residues, lo, hi))
+
+    @pytest.mark.parametrize(
+        "moduli, segment, span",
+        [
+            # P = 210, segments of 420 bits, and 64 * 210 + 11 = 32 * 420 + 11
+            ([2, 3, 5, 7], 500, 64 * 210 + 11),
+            # P = 44100 is wider than a segment, so each segment is one period
+            ([4, 9, 25, 49], 300, 64 * 44100 + 101),
+        ],
+    )
+    def test_last_segment_shorter_than_a_period(self, monkeypatch, moduli, segment, span):
+        monkeypatch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
+        bset, lo = validate_bset(moduli), -(2**65) - 7
+        point = OdometerPoint(bset, (1, 10**20, 3, 5)[: len(moduli)])
+        assert np.array_equal(
+            phi_window(point, lo, lo + span).bits,
+            coding_oracle(bset.moduli, [(0,)] * len(moduli), point.residues, lo, lo + span),
+        )
+
+    @given(
+        profiles(),
+        st.integers(-(2**66), 2**66),
+        st.integers(1, 8_000),
+        st.integers(1, 5),
+        st.integers(0, 2**32),
+        st.integers(200, 700),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_rows_match_modular_oracle(self, profile, lo, span, count, seed, segment):
+        # a one-row sample is cut into segments, a block of several rows is not
+        moduli, hi = profile.bset.moduli, lo + span
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
+            block, omegas = _sample(moduli, profile.a, profile.odometer_moduli, Fraction(1),
+                                    lo, hi, count, seed)
+        assert block.shape == (count, span)
+        for row, omega in zip(block, omegas.tolist()):
+            assert np.array_equal(row, coding_oracle(moduli, profile.a, omega, lo, hi))
+
+    def test_empty_block_of_long_rows(self):
+        # zero rows pass any budget, however long the rows
+        sf4 = squarefree_family(4)
+        block, omegas = _sample(sf4.moduli, [(0,)] * 4, sf4.moduli, Fraction(1), 0, 2**62, 0, 1)
+        assert block.shape == (0, 2**62) and omegas.shape == (0, 4)
+
+    def test_multi_segment_budget_refused_before_allocation(self, monkeypatch):
+        sf4, budget = squarefree_family(4), 4 * 64 * 900
+        monkeypatch.setattr("bfree.sieve._SEGMENT_BYTES", 512)
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", budget)
+        # at the budget the window is built, across 256 segments of one 900-bit period
+        assert np.array_equal(
+            eta_window(sf4, 5, 5 + budget).bits, coding_oracle(sf4.moduli, [(0,)] * 4, [0] * 4, 5, 5 + budget)
+        )
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        for name in ("empty", "ones"):
+            monkeypatch.setattr(np, name, allocate)
+        with pytest.raises(WindowTooLarge):
+            eta_window(sf4, 5, 5 + budget + 1)
+        with pytest.raises(WindowTooLarge):
+            _sample(sf4.moduli, [(0,)] * 4, sf4.moduli, Fraction(1), 0, budget // 2 + 1, 2, 9)

@@ -49,6 +49,39 @@ def test_sampler_core_is_seen_by_the_rule():
     assert _rng_lines(Path(bfree.__file__).parent / "measures.py")
 
 
+def _strided_zero_lines(source):
+    """Lines that assign 0 to a strided slice, as ``x[..., a::b] = 0``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)):
+            continue
+        if node.value.value != 0:
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Subscript):
+                index = target.slice
+                parts = index.elts if isinstance(index, ast.Tuple) else [index]
+                if any(isinstance(p, ast.Slice) and p.step is not None for p in parts):
+                    lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "sieve.py"], ids=lambda p: p.name
+)
+def test_strided_strikes_only_in_the_sieve(path):
+    # sieve._sieve is the one strike kernel for windows and samplers; a
+    # second strided strike elsewhere would be a second sieve to keep right
+    lines = _strided_zero_lines(path.read_text())
+    assert not lines, f"{path.name} strikes strided slices at lines {lines}"
+
+
+def test_sieve_kernel_is_seen_by_the_rule():
+    assert _strided_zero_lines((Path(bfree.__file__).parent / "sieve.py").read_text())
+    source = "def f(x, rows):\n    x[rows, 3::5] = 0\n    x[::2] = 1\n    x[1:4] = 0\n    x[::3] = False\n"
+    assert _strided_zero_lines(source) == [2, 5]
+
+
 def _self_calls(source):
     """(function name, line) of every call a function makes to itself by name."""
     found = []
