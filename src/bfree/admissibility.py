@@ -208,19 +208,18 @@ def entropy_from_complexity(p: list[int]) -> list[float]:
     return [math.log2(x) / (i + 1) for i, x in enumerate(p)]
 
 
-def _missing_residues(word: BinaryWord, bset: BSet) -> list[frozenset[int]]:
-    """Residues mod each b_k that the word's support misses.
+def _missing_residues(hits: list[frozenset[int]], moduli) -> list[frozenset[int]]:
+    """Residues mod each b_k outside its hit set.
 
     Raises :class:`BudgetExceeded` before any set is built when some
     modulus would list more than ``MAX_MISSING_RESIDUES`` of them.
     """
-    hits = _hit_residues(word.support, bset.moduli)
-    for h, b in zip(hits, bset.moduli):
+    for h, b in zip(hits, moduli):
         if b - len(h) > MAX_MISSING_RESIDUES:
             raise BudgetExceeded(
                 f"{b - len(h)} missing residues mod {b} exceed budget {MAX_MISSING_RESIDUES}"
             )
-    return [frozenset(range(b)).difference(h) for h, b in zip(hits, bset.moduli)]
+    return [frozenset(range(b)).difference(h) for h, b in zip(hits, moduli)]
 
 
 def theta_window(word: BinaryWord, bset: BSet) -> list[frozenset[int] | None]:
@@ -232,9 +231,10 @@ def theta_window(word: BinaryWord, bset: BSet) -> list[frozenset[int] | None]:
     to decide; ``None`` means the support covers every residue (the word is
     inadmissible at that modulus).  Ambiguity is reported, never guessed.
     """
+    mods = bset.moduli
     return [
         frozenset((-a) % b for a in missing) if missing else None
-        for missing, b in zip(_missing_residues(word, bset), bset.moduli)
+        for missing, b in zip(_missing_residues(_hit_residues(word.support, mods), mods), mods)
     ]
 
 
@@ -278,9 +278,12 @@ def spectrum_profile(word: BinaryWord, bset: BSet) -> SpectrumProfile:
     Requires the word to be admissible; raises :class:`Inadmissible` with
     the offending modulus index otherwise.
     """
+    hits = _hit_residues(word.support, bset.moduli)
     entries = []
-    for k, (missing, b) in enumerate(zip(_missing_residues(word, bset), bset.moduli)):
+    for k, (h, missing, b) in enumerate(zip(hits, _missing_residues(hits, bset.moduli), bset.moduli)):
         if not missing:
             raise Inadmissible(k)
-        entries.append((b, len(missing), missing, minimal_translation_period(missing, b)))
+        # a set and its complement in Z/b have one translation stabilizer,
+        # and H_k holds at most one residue per 1 of the word
+        entries.append((b, len(missing), missing, minimal_translation_period(h, b)))
     return SpectrumProfile(tuple(entries))

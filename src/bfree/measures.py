@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import BinaryWord, BSet, CylinderSpec
 from .errors import EmptySupport, LengthMismatch, TooManyZeros
@@ -237,6 +238,17 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     [lo, hi) reads one Philox stream keyed by (seed << 64) | c, first one
     ``integers(0, m, CHUNK)`` per odometer modulus m, then, when p < 1,
     the mask doubles of the chunk's samples in sample order.
+
+    Pairwise coprime draw moduli m_k make the odometer cyclic, Z/P with
+    P = prod m_k: row i is the all-zero point's coding shifted by the t_i
+    in [0, P) with t_i == omegas[i, k] (mod m_k) (CRT; each class set is
+    m_k-translation invariant mod b_k).  So when P <= count, one line,
+    that coding over [lo, hi + P - 1), is sieved and row i is its L-bit
+    slice from t_i.  Memory is the block plus that (P + L - 1)-byte
+    line, and P + L - 1 <= count * L, so the line is within the block's
+    budget.  With fewer rows than points, or moduli that are not
+    coprime, every row is sieved.  Either way the mask is applied to the
+    built block.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -253,7 +265,22 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
             omegas[c * CHUNK : (c + 1) * CHUNK, k] = rng.integers(0, m, size=CHUNK)
     omegas = omegas[:count]
     omegas.setflags(write=False)
-    block = _sieve(lo, hi, moduli, classes, omegas)
+    period = math.prod(draw_moduli)
+    if period <= count and math.lcm(*draw_moduli) == period:
+        line = _sieve(lo, hi + period - 1, moduli, classes, np.zeros((1, len(moduli)), np.int64))[0]
+        # t_i by CRT in int64: the sum is below sum_k m_k * P <= P^2, and
+        # P <= count <= 2^30 by the budget, so one reduction at the end
+        phases = np.zeros(count, dtype=np.int64)
+        for k, m in enumerate(draw_moduli):
+            q = period // m
+            phases += omegas[:, k] * (q * pow(q, -1, m) % period)
+        phases %= period
+        # row t of the (P, L) view is line[t : t + L]; fancy indexing copies
+        # only the rows asked for, np.take would copy the whole view first
+        windows = as_strided(line, (period, hi - lo), line.strides * 2, writeable=False)
+        block = windows[phases]
+    else:
+        block = _sieve(lo, hi, moduli, classes, omegas)
     if p != 1:
         flat, length = block.reshape(-1), hi - lo
         for c, rng in enumerate(rngs):

@@ -43,7 +43,7 @@ MAX_WINDOW_BITS = 2**30
 
 # The wheel's period P is at most min(_WHEEL_MAX, L // _WHEEL_REPEATS): P
 # columns stay cache-resident, and tiling pays only once the window repeats
-# the period many times (short sampler rows then never engage it).
+# the period many times.
 _WHEEL_MAX = 2**16
 _WHEEL_REPEATS = 64
 

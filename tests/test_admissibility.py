@@ -324,6 +324,30 @@ class TestSpectrumProfile:
             spectrum_profile(BinaryWord.from_string("11"), validate_bset([2, 3]))
         assert exc.value.k == 0
 
+    @given(
+        st.integers(2, 60).flatmap(
+            lambda b: st.tuples(
+                st.just(b),
+                st.sampled_from([d for d in range(1, b + 1) if b % d == 0]),
+                st.sets(st.integers(0, b - 1)),
+                st.integers(1, 3 * b),
+                st.sets(st.integers(0, 3 * b - 1), max_size=3),
+            )
+        )
+    )
+    @settings(max_examples=200)
+    def test_period_from_hits_equals_period_of_missing(self, case):
+        # the support repeats with period d, except a few dropped positions
+        b, d, classes, length, dropped = case
+        support = [n for n in range(length) if n % d in {c % d for c in classes} and n not in dropped]
+        word = BinaryWord.from_support(support, 0, length)
+        try:
+            ((_, s, missing, b_prime),) = spectrum_profile(word, BSet((b,))).entries
+        except Inadmissible:
+            assert len({n % b for n in support}) == b
+            return
+        assert s == len(missing) and b_prime == minimal_translation_period(missing, b)
+
     def test_recovers_generalized_profile(self):
         profile = SAProfile(
             validate_bset([4, 9]),

@@ -34,6 +34,7 @@ from bfree.measures import (
     squeeze,
 )
 from bfree.sieve import MAX_WINDOW_BITS, SAProfile, eta_window, phi_sa_window, phi_window
+from bfree.sturmian import sample_periodic_windows, two_mme_system
 from cylinder_oracle import mixed_cylinder_ie
 
 
@@ -407,12 +408,35 @@ class TestSamplerContractV2:
             assert w.offset == lo
             assert w == phi_window(OdometerPoint(bset, omega), lo, lo + 30)
 
-    def test_budget_refused_before_allocation(self):
+    def test_budget_refused_before_allocation(self, monkeypatch):
         bset = validate_bset([2, 3])
         with pytest.raises(WindowTooLarge):
             sample_mirsky(bset, 0, 2**16, MAX_WINDOW_BITS // 2**16 + 1, seed=0)
         with pytest.raises(WindowTooLarge):
             sample_product(ProductMeasureSpec(bset, Fraction(1, 2)), 0, 2, 10**12, seed=0)
+        # P = 6 <= count: the block is cut from one sieved line under the
+        # block's budget, 447 = 149 x 3 bits is built and 7 x 64 is one over
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 447)
+        assert sample_mirsky(bset, 0, 3, 149, seed=0).bits.shape == (149, 3)
+        with pytest.raises(WindowTooLarge):
+            sample_mirsky(bset, 0, 64, 7, seed=0)
+
+    def test_blocks_cut_from_one_sieved_line(self, monkeypatch):
+        # what the sieve is asked for: one line of P + L - 1 bits when the
+        # odometer is cyclic and P <= count, otherwise every row
+        calls, sieve = [], measures._sieve
+
+        def record(lo, hi, moduli, classes, omegas):
+            calls.append((len(omegas), hi - lo))
+            return sieve(lo, hi, moduli, classes, omegas)
+
+        monkeypatch.setattr(measures, "_sieve", record)
+        sample_mirsky(validate_bset([2, 3]), 0, 20, 20000, seed=1)
+        sample_product(ProductMeasureSpec(squarefree_family(4), Fraction(1, 2)), 5, 1005, 4, seed=2)
+        sample_periodic_windows(two_mme_system()[0], Fraction(1, 2), 18, 9, seed=3)
+        sample_periodic_windows(two_mme_system()[0], Fraction(1, 2), 18, 8, seed=3)
+        _sample((4, 6), [(0,), (0,)], (4, 6), Fraction(1), 0, 10, 100, 4)
+        assert calls == [(1, 6 + 19), (4, 1000), (1, 9 + 17), (8, 18), (100, 10)]
 
     def test_window_errors_before_any_draw(self, monkeypatch):
         def draw(*args, **kwargs):
@@ -427,6 +451,8 @@ class TestSamplerContractV2:
             (9, 2, 3, ValueError),
             (0, 64 * 900, 4, WindowTooLarge),
             (-(2**70), -(2**70) + 3 * 64 * 900 + 1, 1, WindowTooLarge),
+            # P = 900 <= count, a block one row over the budget
+            (0, 64 * 3, 901, WindowTooLarge),
         ]:
             with pytest.raises(error):
                 _sample(mods, classes, mods, Fraction(1, 2), lo, hi, count, 0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bfree.core import BinaryWord, OdometerPoint, squarefree_family, validate_bset
+from bfree.core import BinaryWord, BSet, OdometerPoint, squarefree_family, validate_bset
 from bfree.errors import EmptyWord, WindowTooLarge
 from bfree.measures import _sample
 from bfree.sieve import SAProfile, eta_window, phi_sa_window, phi_window
@@ -166,11 +166,14 @@ class TestOneDensity:
 
 
 @st.composite
-def profiles(draw):
-    # pairwise coprime moduli, each with s_k of its classes forbidden
+def profiles(draw, max_period=None):
+    # pairwise coprime moduli, each with s_k of its classes forbidden; with
+    # max_period, moduli past that product are skipped
     moduli = []
     for b in draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 13, 25]), min_size=1, max_size=4)):
-        if all(math.gcd(b, c) == 1 for c in moduli):
+        if all(math.gcd(b, c) == 1 for c in moduli) and (
+            max_period is None or not moduli or math.prod(moduli) * b <= max_period
+        ):
             moduli.append(b)
     moduli.sort()
     a = tuple(
@@ -178,6 +181,26 @@ def profiles(draw):
         for b in moduli
     )
     return SAProfile(validate_bset(moduli), tuple(map(len, a)), a)
+
+
+# Row counts of a sampled block: a few rows, or a multiple of the odometer
+# size P' plus a step, so that P' - 1, P', P' + 1 and 2P' rows are drawn
+# and blocks with P' <= count are cut from one sieved line.
+SAMPLE_COUNTS = st.sampled_from([(0, 1), (0, 2), (0, 5), (1, -1), (1, 0), (1, 1), (2, 0)])
+
+
+def assert_sampled_rows(profile, lo, span, counts, seed):
+    """``_sample`` rows over [lo, lo + span) against the modular oracle."""
+    moduli, hi = profile.bset.moduli, lo + span
+    times, step = counts
+    count = times * math.prod(profile.odometer_moduli) + step
+    block, omegas = _sample(moduli, profile.a, profile.odometer_moduli, Fraction(1), lo, hi, count, seed)
+    assert block.shape == (count, span)
+    oracle = {}
+    for row, omega in zip(block, map(tuple, omegas.tolist())):
+        if omega not in oracle:
+            oracle[omega] = coding_oracle(moduli, profile.a, omega, lo, hi)
+        assert np.array_equal(row, oracle[omega])
 
 
 class TestWheelSieve:
@@ -216,20 +239,17 @@ class TestWheelSieve:
         )
 
     @given(
-        profiles(),
+        profiles(max_period=200),
         st.integers(-(2**66), 2**66),
         st.integers(1, 8_000),
-        st.integers(1, 5),
+        SAMPLE_COUNTS,
         st.integers(0, 2**32),
     )
+    # moduli that are not coprime: the odometer is not cyclic, every row is sieved
+    @example(SAProfile.plain(BSet((4, 6))), -(2**65), 64 * 4 + 3, (2, 0), 7)
     @settings(max_examples=40, deadline=None)
-    def test_sampled_rows_match_modular_oracle(self, profile, lo, span, count, seed):
-        moduli, hi = profile.bset.moduli, lo + span
-        block, omegas = _sample(moduli, profile.a, profile.odometer_moduli, Fraction(1),
-                                lo, hi, count, seed)
-        assert block.shape == (count, span)
-        for row, omega in zip(block, omegas.tolist()):
-            assert np.array_equal(row, coding_oracle(moduli, profile.a, omega, lo, hi))
+    def test_sampled_rows_match_modular_oracle(self, profile, lo, span, counts, seed):
+        assert_sampled_rows(profile, lo, span, counts, seed)
 
     def test_budget_refused_before_allocation(self, monkeypatch):
         sf4 = squarefree_family(4)
@@ -315,24 +335,21 @@ class TestSegmentedSieve:
         )
 
     @given(
-        profiles(),
+        profiles(max_period=200),
         st.integers(-(2**66), 2**66),
         st.integers(1, 8_000),
-        st.integers(1, 5),
+        SAMPLE_COUNTS,
         st.integers(0, 2**32),
         st.integers(200, 700),
     )
+    @example(SAProfile.plain(BSet((4, 6))), 2**64 + 1, 3000, (2, 0), 8, 300)
     @settings(max_examples=40, deadline=None)
-    def test_sampled_rows_match_modular_oracle(self, profile, lo, span, count, seed, segment):
-        # a one-row sample is cut into segments, a block of several rows is not
-        moduli, hi = profile.bset.moduli, lo + span
+    def test_sampled_rows_match_modular_oracle(self, profile, lo, span, counts, seed, segment):
+        # a one-row sample, and the line a block of P' or more rows is cut
+        # from, are cut into segments; a block of several rows is not
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
-            block, omegas = _sample(moduli, profile.a, profile.odometer_moduli, Fraction(1),
-                                    lo, hi, count, seed)
-        assert block.shape == (count, span)
-        for row, omega in zip(block, omegas.tolist()):
-            assert np.array_equal(row, coding_oracle(moduli, profile.a, omega, lo, hi))
+            assert_sampled_rows(profile, lo, span, counts, seed)
 
     def test_empty_block_of_long_rows(self):
         # zero rows pass any budget, however long the rows
