@@ -5,18 +5,26 @@ under the windowed coding, optionally convolved with an independent
 Bernoulli mask (keep each 1 with probability p).  p = 1 gives the plain
 push-forward; p = 1/2 gives the measure of maximal entropy.
 
-RNG contract v2 (``GENERATOR_ID = "philox4x64-chunked-v2"``, recorded in
+RNG contract v3 (``GENERATOR_ID = "philox4x64-chunked-v3"``, recorded in
 batch metadata): samples are split into chunks of CHUNK = 1024.  Chunk c
 draws from the counter-based generator Philox(key=(seed << 64) | c)
 (Salmon et al., SC'11), a pure function of (seed, c), so chunks are
 order-independent and can run in parallel.  A chunk's stream first
 gives the odometer points of all CHUNK slots, one
 ``integers(0, m, size=CHUNK)`` per odometer modulus m in modulus order,
-then, when p < 1, the mask: ``random()`` doubles for the chunk's
-samples in sample order, position by position, and a 1 is kept iff its
-double is < p.  Points are always drawn for whole chunks, so a batch of
-count k is the first k samples of any larger batch with the same seed
-and window.
+then, when p < 1, the mask of the chunk's samples in sample order,
+position by position, from raw 64-bit words (``random_raw``).  At
+p = 1/2 each position takes one bit, least significant bit of each word
+first, 64 positions per word.  Any other p compares one word U per
+position with T = floor(p 2^64): U < T keeps the 1 and U > T drops it.
+A tie settles after the chunk's mask words: each tied position, in
+order, reads further words against the next 64-bit digits of p, and
+drops at once where p 2^64 is an integer.  So a 1 is kept with
+probability exactly p.  Points are always drawn for whole chunks, so a
+batch of count k is the first k samples of any larger batch with the
+same seed and window.  v3 changed only the mask: p = 1 batches and all
+odometer points are those of v2, whose mask kept a 1 iff a ``random()``
+double was < float(p).
 
 Every sampler, ``sturmian.sample_periodic_windows`` included, draws
 through this one core, so one seed gives all of them the same points (a
@@ -55,12 +63,12 @@ __all__ = [
     "empirical_block_distribution",
 ]
 
-GENERATOR_ID = "philox4x64-chunked-v2"
+GENERATOR_ID = "philox4x64-chunked-v3"
 
 # Samples per Philox stream; part of the RNG contract.
 CHUNK = 1024
 
-# Mask doubles drawn per call, which bounds the temporary buffer; any split
+# Mask words drawn per call, which bounds the temporary buffers; any split
 # reads the same stream, so it is not part of the contract.
 MASK_DRAW = 1 << 16
 
@@ -237,7 +245,8 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     The package's only random draw: chunk c of CHUNK masked codings over
     [lo, hi) reads one Philox stream keyed by (seed << 64) | c, first one
     ``integers(0, m, CHUNK)`` per odometer modulus m, then, when p < 1,
-    the mask doubles of the chunk's samples in sample order.
+    the mask words of :func:`_mask`.  One Philox is re-keyed per chunk,
+    which gives the stream of a fresh one.
 
     Pairwise coprime draw moduli m_k make the odometer cyclic, Z/P with
     P = prod m_k: row i is the all-zero point's coding shifted by the t_i
@@ -255,14 +264,19 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} is outside [0, 2^64)")
     _check_window(lo, hi, rows=count)
-    rngs = [
-        np.random.Generator(np.random.Philox(key=(int(seed) << 64) | c))
-        for c in range(-(-count // CHUNK))
-    ]
-    omegas = np.empty((len(rngs) * CHUNK, len(draw_moduli)), dtype=np.int64)
-    for c, rng in enumerate(rngs):
+    length, chunks = hi - lo, -(-count // CHUNK)
+    omegas = np.empty((chunks * CHUNK, len(draw_moduli)), dtype=np.int64)
+    bitgen = np.random.Philox(key=int(seed) << 64)
+    rng = np.random.Generator(bitgen)
+    # a fresh state (counter 0, empty buffers) whose key[0] is the chunk
+    fresh, masks_from = bitgen.state, []
+    for c in range(chunks):
+        fresh["state"]["key"][0] = c
+        bitgen.state = fresh
         for k, m in enumerate(draw_moduli):
             omegas[c * CHUNK : (c + 1) * CHUNK, k] = rng.integers(0, m, size=CHUNK)
+        if p != 1:
+            masks_from.append(bitgen.state)
     omegas = omegas[:count]
     omegas.setflags(write=False)
     period = math.prod(draw_moduli)
@@ -275,21 +289,54 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
             q = period // m
             phases += omegas[:, k] * (q * pow(q, -1, m) % period)
         phases %= period
-        # row t of the (P, L) view is line[t : t + L]; fancy indexing copies
-        # only the rows asked for, np.take would copy the whole view first
-        windows = as_strided(line, (period, hi - lo), line.strides * 2, writeable=False)
-        block = windows[phases]
+        # row t of the (P, L) view is line[t : t + L]; with each row one void
+        # item, fancy indexing copies only the rows asked for, one item each
+        # (np.take would copy the whole view first)
+        windows = as_strided(line, (period, length), line.strides * 2, writeable=False)
+        block = windows.view(f"V{length}")[:, 0][phases].view(np.uint8).reshape(count, length)
     else:
         block = _sieve(lo, hi, moduli, classes, omegas)
     if p != 1:
-        flat, length = block.reshape(-1), hi - lo
-        for c, rng in enumerate(rngs):
-            end = min(count, (c + 1) * CHUNK) * length
-            for start in range(c * CHUNK * length, end, MASK_DRAW):
-                stop = min(start + MASK_DRAW, end)
-                flat[start:stop] &= rng.random(stop - start) < float(p)
+        flat = block.reshape(-1)
+        for c, state in enumerate(masks_from):
+            bitgen.state = state
+            _mask(bitgen, p, flat[c * CHUNK * length : min(count, (c + 1) * CHUNK) * length])
     block.setflags(write=False)
     return block, omegas
+
+
+def _mask(bitgen, p: Fraction, bits: np.ndarray) -> None:
+    """Keep each 1 of the 1-D uint8 ``bits`` with probability p, in place.
+
+    The mask rule of the module docstring, on raw words of ``bitgen``,
+    MASK_DRAW per call.  A position is kept iff the uniform real
+    0.U U' U''... in base 2^64 is < p, so exactly with probability p
+    (Knuth and Yao, 1976); after a tie with T, later words are U's further
+    digits.
+    """
+    n = len(bits)
+    if p == Fraction(1, 2):
+        for start in range(0, n, 64 * MASK_DRAW):
+            size = min(64 * MASK_DRAW, n - start)
+            words = bitgen.random_raw(-(-size // 64)).astype("<u8", copy=False)
+            bits[start : start + size] &= np.unpackbits(
+                words.view(np.uint8), count=size, bitorder="little"
+            )
+        return
+    threshold, rest = divmod(p.numerator << 64, p.denominator)
+    # a tie stays a 1 until it is settled, unless it drops at once
+    below = np.less_equal if rest else np.less
+    ties: list[int] = []
+    for start in range(0, n, MASK_DRAW):
+        words = bitgen.random_raw(min(MASK_DRAW, n - start))
+        bits[start : start + len(words)] &= below(words, np.uint64(threshold))
+        if rest:
+            ties.extend((start + np.flatnonzero(words == np.uint64(threshold))).tolist())
+    for j in ties:
+        digit, rest_j = divmod(rest << 64, p.denominator)
+        while (word := int(bitgen.random_raw())) == digit and rest_j:
+            digit, rest_j = divmod(rest_j << 64, p.denominator)
+        bits[j] &= word < digit
 
 
 def _batch(measure: str, moduli, classes, draw_moduli, p, lo, hi, count, seed, /, **spec):

@@ -358,6 +358,10 @@ class TestSamplers:
 
 
 class TestSamplerContractV2:
+    """The parts of the sampler contract that v3 keeps from v2: chunked
+    points, blocks, prefixes and budgets.  The mask's stream is in
+    TestSamplerContractV3."""
+
     def test_words_are_codings_of_their_omegas(self):
         bset = validate_bset([4, 9, 25])
         batch = sample_mirsky(bset, -7, 40, 300, seed=21)
@@ -378,19 +382,6 @@ class TestSamplerContractV2:
             assert w == phi_sa_window(prof, omega, 5, 41)
         masked = sample_generalized(prof, Fraction(1, 2), 5, 41, 200, seed=23)
         assert all(m.dominated_by(w) for m, w in zip(masked.words, batch.words))
-
-    def test_stream_layout(self):
-        # the documented contract, replayed with numpy's Philox directly
-        bset, p, lo, hi, seed = validate_bset([2, 3]), Fraction(1, 3), 4, 9, 77
-        batch = sample_product(ProductMeasureSpec(bset, p), lo, hi, CHUNK + 2, seed)
-        for c, first, stop in ((0, 0, CHUNK), (1, CHUNK, CHUNK + 2)):
-            rng = np.random.Generator(np.random.Philox(key=(seed << 64) | c))
-            points = np.stack([rng.integers(0, m, size=CHUNK) for m in (2, 3)], axis=1)
-            assert np.array_equal(batch.omegas[first:stop], points[: stop - first])
-            keep = rng.random((stop - first, hi - lo)) < float(p)
-            for i, omega in zip(range(first, stop), points.tolist()):
-                coding = phi_window(OdometerPoint(bset, omega), lo, hi).bits
-                assert np.array_equal(batch.words[i].bits, coding & keep[i - first])
 
     def test_prefix_stability_across_chunks(self):
         spec = ProductMeasureSpec(validate_bset([2, 3, 5]), Fraction(1, 2))
@@ -473,11 +464,6 @@ class TestSamplerContractV2:
         with pytest.raises(ValueError):
             batch.omegas[0, 0] = 1
 
-    def test_generator_in_metadata(self):
-        batch = sample_product(ProductMeasureSpec(validate_bset([2])), 0, 2, 1, seed=3)
-        assert GENERATOR_ID == "philox4x64-chunked-v2"
-        assert json.loads(batch.metadata_json())["generator"] == GENERATOR_ID
-
     def test_spec_records_the_call(self):
         bset = validate_bset([4, 9])
         prof = SAProfile(bset, (2, 3), (frozenset({0, 2}), frozenset({1, 4, 7})))
@@ -529,6 +515,134 @@ class TestSamplerContractV2:
             exact = float(measures._cylinder(bset.moduli, prof.a, CylinderSpec(pattern), half))
             sigma = math.sqrt(exact * (1 - exact) / count)
             assert abs(share - exact) <= 4 * sigma, (pattern, share, exact)
+
+
+class StubWords:
+    """A bit generator whose raw words are ``words``; it raises when asked
+    for more, and ``read`` counts the words handed out."""
+
+    def __init__(self, words):
+        self.words, self.read = [np.uint64(w) for w in words], 0
+
+    def random_raw(self, size=None):
+        n = 1 if size is None else size
+        if self.read + n > len(self.words):
+            raise AssertionError(f"read word {self.read + n} of {len(self.words)}")
+        out = self.words[self.read : self.read + n]
+        self.read += n
+        return out[0] if size is None else np.array(out, dtype=np.uint64)
+
+
+def replay_v3(bset, p, lo, hi, count, seed):
+    """Contract v3 replayed with a fresh numpy Philox per chunk: the points,
+    then the keep bit of every position from raw words in plain Python."""
+    length, keeps, omegas = hi - lo, [], []
+    threshold = (p.numerator << 64) // p.denominator
+    for c in range(-(-count // CHUNK)):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | c))
+        points = np.stack([rng.integers(0, m, size=CHUNK) for m in bset.moduli], axis=1)
+        rows = min(CHUNK, count - c * CHUNK)
+        omegas.append(points[:rows])
+        n = rows * length
+        if p == Fraction(1, 2):
+            words = rng.bit_generator.random_raw(-(-n // 64)).tolist()
+            keep = [words[j // 64] >> j % 64 & 1 for j in range(n)]
+        else:
+            words = rng.bit_generator.random_raw(n).tolist()
+            assert threshold not in words  # a tie would read further words
+            keep = [int(w < threshold) for w in words]
+        keeps.append(np.array(keep, dtype=np.uint8).reshape(rows, length))
+    return np.concatenate(omegas), np.concatenate(keeps)
+
+
+class TestSamplerContractV3:
+    def test_stream_layout(self):
+        # the documented contract, replayed with numpy's Philox directly: three
+        # chunks, the last of 3 rows, whose 15 positions leave 49 bits of its
+        # one mask word unused
+        bset, lo, hi, seed = validate_bset([2, 3]), 4, 9, 77
+        count = 2 * CHUNK + 3
+        mirsky = sample_mirsky(bset, lo, hi, count, seed)
+        for i, omega in enumerate(mirsky.omegas.tolist()):
+            assert np.array_equal(mirsky.bits[i], phi_window(OdometerPoint(bset, omega), lo, hi).bits)
+        for p in (Fraction(1, 2), Fraction(1, 3)):
+            batch = sample_product(ProductMeasureSpec(bset, p), lo, hi, count, seed)
+            omegas, keep = replay_v3(bset, p, lo, hi, count, seed)
+            assert np.array_equal(batch.omegas, omegas)
+            assert np.array_equal(mirsky.omegas, omegas)
+            assert np.array_equal(batch.bits, mirsky.bits & keep)
+
+    def test_p_one_batches_keep_their_v2_bits(self):
+        # drawn under contract v2; v3 changed only the mask
+        bset = validate_bset([4, 9, 25])
+        points = [[2, 7, 19], [3, 8, 16], [3, 5, 5], [3, 7, 15], [0, 8, 11]]
+        batch = sample_mirsky(bset, -3, 13, 5, seed=2026)
+        assert [w.to_string() for w in batch.words] == [
+            "1011101110111001", "0111011101110011", "0111011001110111",
+            "0111001101110001", "1110011011101010",
+        ]
+        assert batch.omegas.tolist() == points
+        half = sample_product(ProductMeasureSpec(bset, Fraction(1, 2)), -3, 13, 5, seed=2026)
+        assert half.omegas.tolist() == points
+        prof = SAProfile(validate_bset([4, 9]), (2, 3), (frozenset({0, 2}), frozenset({1, 4, 7})))
+        general = sample_generalized(prof, Fraction(1), 5, 17, 4, seed=2026)
+        assert [w.to_string() for w in general.words] == [
+            "010001010001", "010001010001", "000101000101", "010001010001",
+        ]
+        assert general.omegas.tolist() == [[1, 2], [1, 2], [1, 1], [1, 2]]
+
+    def test_tie_reads_the_next_digits_after_the_mask_words(self, monkeypatch):
+        # 1/3 = 0.TTT... in base 2^64, T = floor(2^64 / 3): position 0 ties,
+        # 1 drops and 2 keeps; then position 0 ties again with the second
+        # digit and keeps on the third
+        t, top = (1 << 64) // 3, (1 << 64) - 1
+        for draw in (measures.MASK_DRAW, 2):
+            monkeypatch.setattr(measures, "MASK_DRAW", draw)
+            bits, stub = np.ones(3, dtype=np.uint8), StubWords([t, top, 0, t, 0])
+            measures._mask(stub, Fraction(1, 3), bits)
+            assert bits.tolist() == [1, 0, 1] and stub.read == 5
+        # a further word above the digit drops; a 0 still takes a word and stays 0
+        bits, stub = np.array([1, 0], dtype=np.uint8), StubWords([t, 0, t + 1])
+        measures._mask(stub, Fraction(1, 3), bits)
+        assert bits.tolist() == [0, 0] and stub.read == 3
+
+    def test_tie_drops_where_the_digits_of_p_end(self):
+        # 1/4 * 2^64 = 2^62 is an integer: U = 2^62 is U >= p, no further draw
+        t = 1 << 62
+        bits, stub = np.ones(3, dtype=np.uint8), StubWords([t, t - 1, t + 1])
+        measures._mask(stub, Fraction(1, 4), bits)
+        assert bits.tolist() == [0, 1, 0] and stub.read == 3
+        # 3 / 2^65 = 0.(1)(2^63) in base 2^64: a second tie drops, no third draw
+        for second, kept in ((1 << 63, 0), ((1 << 63) - 1, 1)):
+            bits, stub = np.ones(1, dtype=np.uint8), StubWords([1, second])
+            measures._mask(stub, Fraction(3, 2**65), bits)
+            assert bits.tolist() == [kept] and stub.read == 2
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+    def test_mask_draw_is_not_part_of_the_contract(self, monkeypatch, p):
+        spec = ProductMeasureSpec(validate_bset([2, 3, 5]), p)
+        full = sample_product(spec, 3, 10, CHUNK + 6, seed=41).bits
+        for draw in (1, 3):
+            monkeypatch.setattr(measures, "MASK_DRAW", draw)
+            assert np.array_equal(sample_product(spec, 3, 10, CHUNK + 6, seed=41).bits, full)
+
+    def test_law_across_the_word_boundary(self):
+        # positions 62..65 straddle row 0's first two mask words; row i
+        # starts 70 i bits into its chunk's words
+        bset, half, count = validate_bset([2, 3]), Fraction(1, 2), 20000
+        bits = sample_product(ProductMeasureSpec(bset, half), 0, 70, count, seed=43).bits
+        for n in (62, 63, 64):
+            shares = np.bincount(2 * bits[:, n] + bits[:, n + 1], minlength=4) / count
+            for code, share in enumerate(shares.tolist()):
+                spec = CylinderSpec({n: code >> 1, n + 1: code & 1})
+                exact = float(measures._cylinder(bset.moduli, [(0,), (0,)], spec, half))
+                sigma = math.sqrt(exact * (1 - exact) / count)
+                assert abs(share - exact) <= 4 * sigma, (n, code, share, exact)
+
+    def test_generator_in_metadata(self):
+        batch = sample_product(ProductMeasureSpec(validate_bset([2])), 0, 2, 1, seed=3)
+        assert GENERATOR_ID == "philox4x64-chunked-v3"
+        assert json.loads(batch.metadata_json())["generator"] == GENERATOR_ID
 
 
 class TestMaskBatch:
