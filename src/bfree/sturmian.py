@@ -2,12 +2,12 @@
 
 Rotation phases are tracked in 128-bit fixed point; a bit is only emitted
 when the accumulated truncation error cannot flip it, otherwise
-PrecisionExhausted is raised.  The coder computes the fixed-point phases
-exactly, as two uint64 limbs per position in numpy integer arithmetic
-(no floats; Knuth, TAOCP vol. 2, 4.3.1), and filters them: a position
-whose high limb is far from every endpoint's high limb gets its bit from
-a limb comparison, and only the few near an endpoint go through the
-big-int error rule (the filter-then-exact pattern of Shewchuk, 1997).
+PrecisionExhausted is raised.  The coder filters on the top 32 bits of
+each phase (no floats; Knuth, TAOCP vol. 2, 4.3.1): a position whose
+uint32 top word lies more than a few top-word units from both endpoints'
+top words gets its bit from one wrapped uint32 compare, and only the few
+near an endpoint go through the big-int error rule (the filter-then-exact
+pattern of Shewchuk, 1997).
 Block catalogues are sets of integer window codes, decoded once.
 A periodic point with minimal period c is the coding of the rotation
 on Z/c by its block's zero phases, so its windows and samples come from
@@ -61,10 +61,16 @@ __all__ = [
 
 _BITS = 128
 _MOD = 1 << _BITS
-_LIMB = 1 << 64
+# sturmian_window filters on the top word of a phase: its top 32 bits
+_TOP = 32
+_WORD = 1 << _TOP
+_DROP = _BITS - _TOP
 
-# Positions per pass of the sturmian_window limb kernel; bounds its temporaries.
-_CHUNK = 1 << 16
+# Positions per pass of the sturmian_window filter.  A pass's temporaries
+# are 2^14 uint32 top words (64 KB) or bools: they stay in L2 and under
+# glibc's 128 KB mmap threshold, so each pass reuses freed heap memory
+# where a larger one would map, fault in and unmap fresh pages.
+_CHUNK = 1 << 14
 
 # Longest forward orbit collect_blocks scans before giving up on saturation.
 MAX_ORBIT_BITS = 1 << 21
@@ -161,14 +167,6 @@ def _exact_bit(coding: RotationCoding, n: int, ends, thresholds) -> int:
     return int(t_a <= phase < t_b)
 
 
-def _at_least(high: np.ndarray, low: np.ndarray, t: int) -> np.ndarray:
-    # phase >= t, for phases given as (high, low) uint64 limbs and 0 <= t <= 2^128
-    if t == _MOD:
-        return np.zeros(high.shape, dtype=bool)
-    t_hi, t_lo = (np.uint64(x) for x in divmod(t, _LIMB))
-    return (high > t_hi) | ((high == t_hi) & (low >= t_lo))
-
-
 def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
     """Exact coding bits over [lo, hi).
 
@@ -180,55 +178,61 @@ def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
     range, nor, for n < 0, exactly on the computed phase; otherwise
     :class:`PrecisionExhausted` is raised, at the first such n.
 
-    The computed phase (y + n*alpha) mod 2^128 itself is exact.  It is
-    carried as a high and a low uint64 limb, in chunks of ``_CHUNK``
-    positions: p(start) + i*alpha, with p(start) from Python ints and
-    i*alpha from wrapping limb products, a 32-bit-half mulhi and the
-    carry.  The bit is phase >= ceil(a 2^128) and phase < ceil(b 2^128),
-    compared limb by limb.  With E = max |n| + 1 over the window and
-    margin = floor(E / 2^64) + 1, a position whose high limb is more than
-    margin high-limb units (2^64 units each) from each endpoint's high
-    limb lies more than margin 2^64 > E units from every endpoint, so
-    its limb bit stands.  Every other position falls back to the big-int
-    rule above, in ascending n, so the first PrecisionExhausted is the
-    same as a position-by-position scan's.  Raises
-    :class:`WindowTooLarge` before any allocation when the window exceeds
-    ``sieve.MAX_WINDOW_BITS``.
+    The computed phase P(n) = (y + n*alpha) mod 2^128 is filtered on its
+    top word T = P >> 96, as uint32, in chunks of ``_CHUNK`` positions.
+    Within a chunk from s, T' = (P(s) >> 96) + floor(i*alpha_top / 2^32)
+    mod 2^32 at i = n - s, where alpha_top is alpha's top 64 bits; the low
+    bits it drops carry at most 1 from i*alpha and 1 from the sum, so
+    T' <= T <= T' + 2 (mod 2^32).  With e_a, e_b the top words of
+    ceil(a 2^128) and ceil(b 2^128), a T that equals neither gives the bit
+    (T - e_a) mod 2^32 < e_b - e_a.  A position is near an endpoint when
+    T' lies within margin = ((max |n| + 1) >> 96) + 3 top-word units of
+    e_a or e_b; every other position has neither top word among T' ..
+    T' + 2, so the compare on T' gives its bit, and it lies more than
+    max |n| + 1 units from both exact endpoints, so the error rule cannot
+    fire.  Near positions take the big-int rule above, in ascending n, so
+    the first PrecisionExhausted is the same as a position-by-position
+    scan's.  Raises :class:`WindowTooLarge` before any allocation when
+    the window exceeds ``sieve.MAX_WINDOW_BITS``.
     """
     sieve._check_window(lo, hi)
     # endpoint positions as exact fractions of the circle, cross-multiplied
     ends = [(f.numerator * _MOD, f.denominator) for f in coding.interval]
     thresholds = [-(-num // den) for num, den in ends]
-    # the endpoints' high limbs; endpoint 1 sits on 0 of the circle
-    end_hi = [np.uint64(num // den % _MOD >> 64) for num, den in ends]
-    # a high-limb distance d > margin puts the phase more than
-    # (d - 1) 2^64 >= margin 2^64 > |n| + 1 units from the endpoint
-    margin = ((max(abs(lo), abs(hi - 1)) + 1) >> 64) + 1
-    i = np.arange(min(_CHUNK, hi - lo), dtype=np.uint64)
-    alpha_hi, alpha_lo = divmod(coding.alpha_fixed, _LIMB)
-    alpha_lo1, alpha_lo0 = (np.uint64(x) for x in divmod(alpha_lo, 1 << 32))
-    # i * alpha mod 2^128 for i < 2^32: low limb wraps, high limb adds
-    # mulhi(i, alpha_lo) from 32-bit halves (no partial sum passes 2^64)
-    step_lo = i * np.uint64(alpha_lo)
-    step_hi = i * np.uint64(alpha_hi) + (
-        (i * alpha_lo1 + (i * alpha_lo0 >> np.uint64(32))) >> np.uint64(32)
-    )
+    # The thresholds' top words e, in [0, 2^32]; an exact endpoint x with
+    # ceil(x) >> 96 = e lies in (e 2^96 - 1, (e + 1) 2^96).  A far T',
+    # with (T' - e) mod 2^32 in [margin + 1, 2^32 - margin - 1], has its
+    # true T at D = (T - e) mod 2^32 in [margin + 1, 2^32 - margin + 1]:
+    # never e, and P - x exceeds (D - 1) 2^96 >= margin 2^96 while x - P
+    # exceeds (2^32 - D - 1) 2^96 - 1 >= (margin - 2) 2^96 - 1, which is
+    # at least max |n| + 1 for margin = ((max |n| + 1) >> 96) + 3.
+    e_a, e_b = (t >> _DROP for t in thresholds)
+    width = e_b - e_a  # 2^32 only when a < 2^-32 and b = 1: far bits are all 1
+    margin = ((max(abs(lo), abs(hi - 1)) + 1) >> _DROP) + 3
+    span = np.uint32(2 * margin) if 2 * margin < _WORD else None  # None: all near
+    # floor(i * alpha_top / 2^32) mod 2^32 is bits 32..63 of the wrapping
+    # uint64 product i * alpha_top
+    step = np.arange(min(_CHUNK, hi - lo), dtype=np.uint64)
+    step *= np.uint64(coding.alpha_fixed >> 64)
+    step >>= np.uint64(_TOP)
+    step = step.astype(np.uint32)
     bits = np.empty(hi - lo, dtype=np.uint8)
     for start in range(lo, hi, _CHUNK):
         size = min(_CHUNK, hi - start)
-        p_hi, p_lo = (
-            np.uint64(x) for x in divmod((coding.y_fixed + start * coding.alpha_fixed) % _MOD, _LIMB)
-        )
-        low = step_lo[:size] + p_lo
-        high = step_hi[:size] + p_hi + (low < p_lo)
+        top = (coding.y_fixed + start * coding.alpha_fixed) % _MOD >> _DROP
+        d = step[:size] + np.uint32((top - e_a) % _WORD)  # T' - e_a
         out = bits[start - lo : start - lo + size]
-        out[:] = _at_least(high, low, thresholds[0]) & ~_at_least(high, low, thresholds[1])
-        if margin >= 1 << 63:  # the error spans half the circle
+        if width == _WORD:
+            out[:] = 1
+        else:
+            np.less(d, np.uint32(width), out=out)
+        if span is None:
             near = np.ones(size, dtype=bool)
         else:
-            near = np.zeros(size, dtype=bool)
-            for e in end_hi:
-                near |= high - e + np.uint64(margin) <= np.uint64(2 * margin)
+            d += np.uint32(margin)
+            near = d <= span
+            d -= np.uint32(width % _WORD)  # T' - e_b + margin
+            near |= d <= span
         for j in np.flatnonzero(near).tolist():
             out[j] = _exact_bit(coding, start + j, ends, thresholds)
     bits.setflags(write=False)
@@ -395,8 +399,9 @@ def transitive_closure_point(
     order.  ``blocks_of(n)`` must yield lexicographically and lazily; it
     is consumed only until ``length`` is reached.  Deterministic given
     the catalogue order; truncated to ``length``, which ``sieve.MAX_WINDOW_BITS``
-    caps.  Raises :class:`BudgetExceeded` when ``MAX_STAGES`` stages fall
-    short of it.
+    caps.  A zero run is built only up to the bits still missing, so the
+    work and memory stay O(length) however small h_bits is.  Raises
+    :class:`BudgetExceeded` when ``MAX_STAGES`` stages fall short of it.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -408,17 +413,23 @@ def transitive_closure_point(
         raise ValueError("h_bits must be positive")
     L = math.ceil(1 / h_bits)
     pieces: list[str] = []
+    missing = length
+
+    def zeros(n: int) -> str:
+        # the zero run after an n-bit block, cut to the bits still missing
+        return "0" * min(L * n, missing)
 
     def stages() -> Iterable[str]:
-        z = "0" * (L * n1)
         for block in blocks_of(n1):
-            yield from (block, z)
+            yield block
+            yield zeros(n1)
         for _ in range(MAX_STAGES):
             prefix = "".join(pieces)  # every piece yielded so far
-            z = "0" * (L * len(prefix))
-            yield z
-            for block in blocks_of(len(prefix)):
-                yield from (block, z)
+            n = len(prefix)
+            yield zeros(n)
+            for block in blocks_of(n):
+                yield block
+                yield zeros(n)
             # dominated words of the prefix, lexicographically: free choice at
             # each support position, leftmost bit most significant
             ones = [i for i, ch in enumerate(prefix) if ch == "1"]
@@ -426,13 +437,13 @@ def transitive_closure_point(
             for choice in product("01", repeat=len(ones)):
                 for pos, bit in zip(ones, choice):
                     word[pos] = bit
-                yield from ("".join(word), z)
+                yield "".join(word)
+                yield zeros(n)
 
-    total = 0
     for piece in stages():
         pieces.append(piece)
-        total += len(piece)
-        if total >= length:
+        missing -= len(piece)
+        if missing <= 0:
             return BinaryWord.from_string("".join(pieces)[:length])
     raise BudgetExceeded(f"{MAX_STAGES} stages did not reach length {length}")
 
@@ -468,7 +479,12 @@ def minimal_subset_variant(
         if 0 <= k - 1 - first < len(hit):
             hit[k - 1 - first] = False
         zeroed |= hit
-    return BinaryWord(np.where(zeroed[(np.arange(hi - lo) + lo % c) // c], 0, word.bits), lo)
+    # one mask byte per position: each block's flag repeated c times, cut to
+    # the window, which starts lo % c positions into block `first`
+    mask = np.repeat(zeroed, c)[lo % c : lo % c + (hi - lo)]
+    bits = np.where(mask, np.uint8(0), word.bits)
+    bits.setflags(write=False)
+    return BinaryWord._views([bits], [int(lo)])[0]
 
 
 def close_alpha_block_containment(alpha, beta, n: int) -> bool:

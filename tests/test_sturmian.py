@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bfree import measures
+from bfree import measures, sturmian
 from bfree.admissibility import admissible_words
 from bfree.core import BinaryWord, validate_bset
 from bfree.errors import (
@@ -133,17 +134,32 @@ _M = 1 << 128
 
 @st.composite
 def _fixed_near_rational(draw):
-    # a 128-bit fixed-point value, often a few units (or 2^64 units) off a
-    # small rational, so that phases land near interval endpoints
+    # a 128-bit fixed-point value, often a few units, 2^64 units or a few
+    # top words (2^96 units) off a small rational, so that phases land
+    # near interval endpoints
     base = draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
     delta = draw(
         st.one_of(
             st.integers(-4, 4),
             st.integers(-(2**66), 2**66),
+            st.integers(-(2**98), 2**98),
             st.integers(0, _M - 1),
         )
     )
     return (base.numerator * _M // base.denominator + delta) % _M
+
+
+@st.composite
+def _one_top_word_ends(draw):
+    # endpoints whose top words (first 32 bits) agree mod 2^32: an interval
+    # narrower than 2^-32 inside the top word of a small rational, or
+    # [a, 1) with a < 2^-32, which wraps around the whole circle
+    if draw(st.booleans()):
+        return [Fraction(draw(st.integers(0, 2**20 - 1)), 2**52), Fraction(1)]
+    r = draw(st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda f: f < 1))
+    u, v = sorted(draw(st.lists(st.integers(0, 2**20 - 1), min_size=2, max_size=2, unique=True)))
+    word = math.floor(r * 2**32) << 20
+    return [Fraction(word + u, 2**52), Fraction(word + v, 2**52)]
 
 
 def _outcome(coder, coding, lo, hi):
@@ -154,22 +170,26 @@ def _outcome(coder, coding, lo, hi):
 
 
 class TestLimbCoderProperty:
+    # sturmian_window's filter against the per-bit big-int oracle
     @settings(max_examples=300, deadline=None)
     @given(
         alpha=_fixed_near_rational(),
         y=_fixed_near_rational(),
-        ends=st.lists(
-            st.fractions(min_value=0, max_value=1, max_denominator=8),
-            min_size=2,
-            max_size=2,
-            unique=True,
+        ends=st.one_of(
+            st.lists(
+                st.fractions(min_value=0, max_value=1, max_denominator=8),
+                min_size=2,
+                max_size=2,
+                unique=True,
+            ),
+            _one_top_word_ends(),
         ),
         base=st.sampled_from([0, -300, 2**64 - 150, -(2**64) - 150, 10**20, 2**70, 2**127, -(2**128)]),
         shift=st.integers(-200, 200),
         size=st.integers(1, 300),
-        chunk=st.integers(1, 64),
+        chunk=st.one_of(st.none(), st.integers(1, 64)),
     )
-    # the low limb carries at n = 6, where the phase lies 2 units under 1/2
+    # at n = 6 the phase lies 2 units under 1/2, past a carry out of its low 64 bits
     @example(
         alpha=(3 << 64) | (1 << 64) - 1,
         y=((1 << 127) - 2 - 6 * ((3 << 64) | (1 << 64) - 1)) % _M,
@@ -179,13 +199,52 @@ class TestLimbCoderProperty:
         size=3,
         chunk=64,
     )
+    # at n = 3 the top word is 2 above the filter's: i*alpha_top / 2^32
+    # has fraction 1 - 2^-32, which 3 (2^64 - 1) / 2^96 carries, and the
+    # low 96 bits of y and 3 alpha carry again.  The phase is 2^127 + 5,
+    # past the endpoint 1/2 (bit 0) while the filter's top word reads 2^31 - 2.
+    @example(
+        alpha=0x1234567855555555FFFFFFFFFFFFFFFF,
+        y=0x4962FC96FFFFFFFE0000000000000008,
+        ends=[Fraction(0), Fraction(1, 2)],
+        base=0,
+        shift=0,
+        size=4,
+        chunk=None,
+    )
     def test_limb_coder_matches_loop(self, alpha, y, ends, base, shift, size, chunk):
         # equal bits, or PrecisionExhausted at the same n with the same message
         coding = RotationCoding(alpha or 1, y, tuple(sorted(ends)))
         lo = base + shift
-        with mock.patch("bfree.sturmian._CHUNK", chunk):
+        with mock.patch("bfree.sturmian._CHUNK", chunk or sturmian._CHUNK):
             got = _outcome(sturmian_window, coding, lo, lo + size)
         assert got == _outcome(sturmian_window_loop, coding, lo, lo + size)
+
+
+class TestTopWordFilter:
+    @pytest.mark.parametrize(
+        "coding", [GOLDEN, RotationCoding.from_real(Fraction(9, 137), Fraction(1, 411))]
+    )
+    def test_few_positions_take_the_exact_rule(self, coding):
+        # a near position lies within 7 top words (7 * 2^-32) of an
+        # endpoint; golden has one, its phase 0 at n = 0, and the
+        # rational phases stay 1/(2 * 137 * 411) away from both endpoints
+        with mock.patch.object(sturmian, "_exact_bit", wraps=sturmian._exact_bit) as exact:
+            sturmian_window(coding, 0, 10**5)
+        assert exact.call_count <= 4
+
+    def test_temporaries_are_chunk_sized(self):
+        # the window's own byte per position plus a bounded number of
+        # per-chunk arrays, whatever the window length
+        size = 10**6
+        sturmian_window(GOLDEN, 0, 64)
+        tracemalloc.start()
+        try:
+            sturmian_window(GOLDEN, 0, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= size + 16 * sturmian._CHUNK
 
 
 class TestRotationComplexity:
@@ -481,6 +540,17 @@ class TestTransitiveClosurePoint:
         with pytest.raises(ValueError):
             transitive_closure_point(self._blocks_of, 0.5, 1, -7)
 
+    def test_zero_runs_cut_to_length(self):
+        # L = 10^12, so a whole zero run after "11" would be 2 * 10^12 bits
+        tracemalloc.start()
+        try:
+            w = transitive_closure_point(lambda n: iter(["1" * n]), 1e-12, 2, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.to_string() == "11" + "0" * 8
+        assert peak < 1 << 16
+
     def test_length_budget(self):
         # refused before stage 1 asks for a single block
         with pytest.raises(WindowTooLarge):
@@ -557,6 +627,41 @@ class TestMinimalSubsetVariant:
         one = PeriodicHereditarySystem(BinaryWord.from_string("1"))
         w = minimal_subset_variant(one, [10**20 + 39], 10**20 + 30, 10**20 + 50)
         assert w.to_string() == "1" * 9 + "0" + "1" * 10
+
+    @pytest.mark.parametrize(
+        "block, primes, lo",
+        [
+            ("101001000", [2, 3, 5, 7], -(10**12) - 5),
+            ("10", [2, 3, 5], 10**12 + 3),
+            ("1101", [2, 3], -777),
+        ],
+    )
+    def test_matches_index_formula(self, block, primes, lo):
+        # the per-position block index gather zeroed[(i + lo % c) // c],
+        # with zeroed from a vectorized test of each block index
+        system = PeriodicHereditarySystem(BinaryWord.from_string(block))
+        c, hi = len(block), lo + 50_000
+        n = np.arange(lo // c, (hi - 1) // c + 1)
+        zeroed = np.zeros(len(n), dtype=bool)
+        for k, P in enumerate(itertools.accumulate(primes, operator.mul), start=1):
+            zeroed |= (n % P == (k - 1) % P) & (n != k - 1)
+        index = (np.arange(hi - lo) + lo % c) // c
+        expected = np.where(zeroed[index], 0, system.window(lo, hi).bits)
+        assert np.array_equal(minimal_subset_variant(system, primes, lo, hi).bits, expected)
+
+    def test_a_few_bytes_per_position(self):
+        # the periodic window, the mask and the result: a byte per position
+        # each, where int64 index arrays would take 16
+        system = PeriodicHereditarySystem(BinaryWord.from_string("101001000"))
+        lo, size = -(10**12), 1 << 20
+        minimal_subset_variant(system, [2, 3, 5, 7], lo, lo + 64)
+        tracemalloc.start()
+        try:
+            minimal_subset_variant(system, [2, 3, 5, 7], lo, lo + size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * size
 
     def test_zeroes_even_blocks(self):
         a, _ = two_mme_system()
