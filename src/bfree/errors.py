@@ -80,10 +80,6 @@ class PrecisionExhausted(BFreeError):
     pass
 
 
-class NotSaturated(BFreeError):
-    pass
-
-
 class BudgetExceeded(BFreeError):
     pass
 

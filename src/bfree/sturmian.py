@@ -7,25 +7,26 @@ each phase (no floats; Knuth, TAOCP vol. 2, 4.3.1): a position whose
 uint32 top word lies more than a few top-word units from both endpoints'
 top words gets its bit from one wrapped uint32 compare, and only the few
 near an endpoint go through the big-int error rule (the filter-then-exact
-pattern of Shewchuk, 1997).
-Block catalogues are sets of integer window codes, decoded once.
-A periodic point with minimal period c is the coding of the rotation
-on Z/c by its block's zero phases, so its windows and samples come from
-the residue sieve (:mod:`bfree.sieve`) and its exact maximal-entropy
-block frequencies from the cylinder DP of :mod:`bfree.measures`, at any
-target length.
-Hereditary-closure block counts use the dominated-enumeration identity
-(count words lying under some occurring block) and never materialize the
-closure.
+pattern of Shewchuk, 1997).  A coding's n-blocks are the codes of the 2n
+arcs between the circle's cut points, with no orbit scan: the exact
+language for every alpha in the truncation interval and every y, or
+PrecisionExhausted.  A periodic point with minimal period c is the
+coding of the rotation on Z/c by its block's zero phases, so its windows
+and samples come from the residue sieve (:mod:`bfree.sieve`) and its
+exact maximal-entropy block frequencies from the cylinder DP of
+:mod:`bfree.measures`, at any target length.  Hereditary-closure block
+counts use the dominated-enumeration identity (count words lying under
+some occurring block) and never materialize the closure.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterable
 
 import numpy as np
@@ -35,13 +36,11 @@ from .core import BinaryWord, CylinderSpec
 from .errors import (
     BudgetExceeded,
     NotMinimalPeriod,
-    NotSaturated,
     PrecisionExhausted,
     PreconditionUnmet,
     StateSpaceTooLarge,
-    WindowTooLarge,
 )
-from .measures import _block_codes, _cylinder, _distinct_counts, _sample
+from .measures import _cylinder, _sample
 
 __all__ = [
     "RotationCoding",
@@ -71,9 +70,6 @@ _DROP = _BITS - _TOP
 # glibc's 128 KB mmap threshold, so each pass reuses freed heap memory
 # where a larger one would map, fault in and unmap fresh pages.
 _CHUNK = 1 << 14
-
-# Longest forward orbit collect_blocks scans before giving up on saturation.
-MAX_ORBIT_BITS = 1 << 21
 
 # Stages transitive_closure_point runs before giving up on reaching length.
 MAX_STAGES = 64
@@ -240,41 +236,53 @@ def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
 
 
 def collect_blocks(coding: RotationCoding, n: int) -> set[str]:
-    """Distinct n-blocks along the forward orbit, with saturation control.
+    """The n-blocks of the coding: its exact language, the same for every y.
 
-    Doubles the scanned orbit length, from 64 n bits, until the block set
-    is stable across two consecutive doublings; raises NotSaturated when
-    the next doubling would pass ``MAX_ORBIT_BITS``.  Blocks are kept as
-    integer codes and only the distinct ones are decoded.
+    Bit k of the block at phase x flips only at the cuts a - k alpha and
+    b - k alpha (k < n), so the blocks are the codes of the at most 2n arcs
+    between cuts (Rote, J. Number Theory, 1994).  The computed cuts
+    (ceil(e 2^128) - k A) mod 2^128, A = alpha_fixed, are sorted; the block
+    at the first takes n big-int steps, and each later cut flips its bit k.
+    For every alpha' in [A, A + 1) 2^-128 a true cut lies less than k + 1
+    <= n units below its computed one, so :class:`PrecisionExhausted` is
+    raised when the smallest gap is at most n + 1 units (an arc of at most
+    one unit); otherwise the arcs keep their order and codes, and a dense
+    orbit visits each.  An orbit of p/q steps 2^128/q units: it visits each
+    arc between cuts of one endpoint, a multiple of 1/q long, and, if q >
+    2^128/L, each arc between cuts of a and b, longer than L = h - n for h
+    their smallest gap.  A p/q with q <= 2^128/L in [A, A + 1] 2^-128 (the
+    best approximation to the midpoint finds it) raises PrecisionExhausted.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    length = 64 * n
-    bits = sturmian_window(coding, 0, length).bits
-    codes = set(_distinct_counts(_block_codes(bits[None], n))[0].tolist())
-    stable = 0
-    while stable < 2:
-        if 2 * length > MAX_ORBIT_BITS:
-            raise NotSaturated(f"block count still growing at orbit length {length}")
-        # the last n - 1 bits start the blocks that cross into the new half
-        more = sturmian_window(coding, length, 2 * length).bits
-        bits = np.concatenate([bits[len(bits) - n + 1 :], more])
-        length *= 2
-        before = len(codes)
-        codes.update(_distinct_counts(_block_codes(bits[None], n))[0].tolist())
-        stable = stable + 1 if len(codes) == before else 0
-    return {format(code, f"0{n}b") for code in codes}
+    sieve._check_window(0, n, 2 * n)  # the 2n x n output bits
+    if coding.interval == (0, 1):  # each a-cut is a b-cut, and every bit is 1
+        return {"1" * n}
+    A = coding.alpha_fixed
+    t_a, t_b = (-(-f.numerator * _MOD // f.denominator) for f in coding.interval)
+    # (point, endpoint, k), and each cut paired with the next one around the circle
+    cuts = sorted(((t - k * A) % _MOD, e, k) for e, t in enumerate((t_a, t_b)) for k in range(n))
+    ring = list(zip(cuts, cuts[1:] + [(cuts[0][0] + _MOD, *cuts[0][1:])]))
+    gap = min(y[0] - x[0] for x, y in ring)
+    if gap <= n + 1:
+        raise PrecisionExhausted(f"cut points {gap} units apart at n={n}")
+    mixed = min(y[0] - x[0] for x, y in ring if x[1] != y[1])
+    near = Fraction(2 * A + 1, 2 * _MOD).limit_denominator(_MOD // (mixed - n))
+    if A <= near * _MOD <= A + 1:
+        raise PrecisionExhausted(f"alpha may be {near}, whose orbit can miss an arc at n={n}")
+    first = sum(1 << (n - 1 - k) for k in range(n) if t_a <= (cuts[0][0] + k * A) % _MOD < t_b)
+    codes = accumulate((1 << (n - 1 - k) for _, _, k in cuts[1:]), operator.xor, initial=first)
+    return {format(code, f"0{n}b") for code in set(codes)}
 
 
 def rotation_complexity(coding: RotationCoding, n_max: int) -> list[int]:
-    """Saturated counts of distinct n-blocks for n = 1..n_max."""
-    return [len(collect_blocks(coding, n)) for n in range(1, n_max + 1)]
+    """Exact counts of distinct n-blocks for n = 1..n_max: the n-prefixes of
+    the n_max-blocks, whose certificate holds for every n <= n_max."""
+    blocks = collect_blocks(coding, n_max)
+    return [len({block[:n] for block in blocks}) for n in range(1, n_max + 1)]
 
 
 def _dominated_masks(block: str) -> Iterable[int]:
-    positions = [i for i, c in enumerate(block) if c == "1"]
     masks = [0]
-    for p in positions:
+    for p in (i for i, c in enumerate(block) if c == "1"):
         masks += [m | (1 << p) for m in masks]
     return masks
 
@@ -283,17 +291,15 @@ def hereditary_closure_count(blocks: Iterable[str]) -> int:
     """Number of words dominated by at least one of the given blocks.
 
     It enumerates 2^ones words per block, so it raises StateSpaceTooLarge
-    up front when their sum exceeds 2^``MAX_DOMINATED_BITS``.
+    up front when their sum exceeds 2^``MAX_DOMINATED_BITS``.  Blocks other
+    than 0/1 strings of one length raise ValueError.
     """
     blocks = list(blocks)
     if sum(1 << block.count("1") for block in blocks) > 1 << MAX_DOMINATED_BITS:
-        raise StateSpaceTooLarge(
-            f"dominated words of the blocks exceed budget 2^{MAX_DOMINATED_BITS}"
-        )
-    seen: set[int] = set()
-    for block in blocks:
-        seen.update(_dominated_masks(block))
-    return len(seen)
+        raise StateSpaceTooLarge(f"dominated words of the blocks exceed budget 2^{MAX_DOMINATED_BITS}")
+    if len({len(block) for block in blocks}) > 1 or not set("".join(blocks)) <= {"0", "1"}:
+        raise ValueError("blocks must be 0/1 strings of one length")
+    return len(set().union(*map(_dominated_masks, blocks)))
 
 
 def hereditary_entropy_estimate(coding: RotationCoding, n: int) -> float:
@@ -403,12 +409,9 @@ def transitive_closure_point(
     work and memory stay O(length) however small h_bits is.  Raises
     :class:`BudgetExceeded` when ``MAX_STAGES`` stages fall short of it.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if length > sieve.MAX_WINDOW_BITS:
-        raise WindowTooLarge(f"length {length} exceeds budget {sieve.MAX_WINDOW_BITS}")
     if length == 0:
         return BinaryWord(np.zeros(0, dtype=np.uint8))
+    sieve._check_window(0, length)
     if h_bits <= 0:
         raise ValueError("h_bits must be positive")
     L = math.ceil(1 / h_bits)
@@ -474,15 +477,16 @@ def minimal_subset_variant(
         # distance faster than k moves it, so no later product can zero n
         if P > max(abs(first - k + 1), abs(last - k + 1)):
             break
-        hit = np.zeros_like(zeroed)
-        hit[(k - 1 - first) % P :: P] = True
-        if 0 <= k - 1 - first < len(hit):
-            hit[k - 1 - first] = False
-        zeroed |= hit
-    # one mask byte per position: each block's flag repeated c times, cut to
-    # the window, which starts lo % c positions into block `first`
-    mask = np.repeat(zeroed, c)[lo % c : lo % c + (hi - lo)]
-    bits = np.where(mask, np.uint8(0), word.bits)
+        j = k - 1 - first
+        kept = zeroed[j] if 0 <= j < len(zeroed) else None
+        zeroed[j % P :: P] = True
+        if kept is not None:
+            zeroed[j] = kept  # block k - 1 is not zeroed by its own product
+    # the window copied into rows of whole blocks, from lo % c into the first
+    rows = np.empty((len(zeroed), c), dtype=np.uint8)
+    bits = rows.reshape(-1)[lo % c : lo % c + (hi - lo)]
+    bits[:] = word.bits
+    np.copyto(rows, 0, where=zeroed[:, None])
     bits.setflags(write=False)
     return BinaryWord._views([bits], [int(lo)])[0]
 

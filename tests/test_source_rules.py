@@ -163,3 +163,38 @@ def test_batches_read_through_bits(path):
 def test_words_rule_sees_attribute_reads():
     source = "def f(batch):\n    return [w.bits for w in batch.words]\n"
     assert _words_reads(source) == [2]
+
+
+def _budget_names(source):
+    """Module-level ``MAX_*`` names that a source assigns."""
+    names = set()
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
+    return names
+
+
+def _names_read_in_functions(source):
+    """Names that a source's functions load."""
+    return {
+        node.id
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_budget_is_read():
+    # a MAX_* setting that no function reads is a dead budget: a caller who
+    # patches it, or a reader who trusts it, is misled
+    budgets = set().union(*(_budget_names(path.read_text()) for path in SOURCES))
+    read = set().union(*(_names_read_in_functions(path.read_text()) for path in SOURCES))
+    unread = sorted(budgets - read)
+    assert budgets and not unread, f"budgets no function reads: {unread}"
+
+
+def test_budget_rule_sees_module_constants_and_function_reads():
+    source = "MAX_A = 1\nMAX_B: int = 2\n_MAX_C = 3\nMAX_D = MAX_B\n\ndef f(x):\n    MAX_E = 4\n    return x > MAX_A\n"
+    assert _budget_names(source) == {"MAX_A", "MAX_B", "MAX_D"}
+    assert _names_read_in_functions(source) == {"x", "MAX_A"}

@@ -18,7 +18,6 @@ from bfree.core import BinaryWord, validate_bset
 from bfree.errors import (
     BudgetExceeded,
     NotMinimalPeriod,
-    NotSaturated,
     PrecisionExhausted,
     PreconditionUnmet,
     StateSpaceTooLarge,
@@ -267,16 +266,94 @@ class TestRotationComplexity:
         text = sturmian_window(GOLDEN, 0, 1 << 15).to_string()
         assert collect_blocks(GOLDEN, n) == {text[i : i + n] for i in range(len(text) - n + 1)}
 
-    def test_not_saturated(self, monkeypatch):
-        monkeypatch.setattr("bfree.sturmian.MAX_ORBIT_BITS", 256)
-        with pytest.raises(NotSaturated):
-            collect_blocks(GOLDEN, 10)
+    def test_uncertified_partition_raises(self):
+        # rational guard: at n = 4 the arc [0, 1/14) between the cuts 0 and
+        # 1/2 - 3/7 is shorter than the 1/7 spacing of alpha = 1/7's orbit
+        seventh = RotationCoding.from_real(Fraction(1, 7))
+        with pytest.raises(PrecisionExhausted, match="alpha may be 1/7"):
+            collect_blocks(seventh, 4)
+        # gap rule: an interval 3 units wide has its two cuts n + 1 = 3 units apart
+        a = Fraction(1, 3)
+        narrow = RotationCoding(GOLDEN.alpha_fixed, 0, (a, a + Fraction(3, 2**128)))
+        with pytest.raises(PrecisionExhausted, match="3 units apart"):
+            collect_blocks(narrow, 2)
+
+    def test_rational_alpha_whose_orbit_visits_every_arc(self):
+        # at n = 3 every arc of alpha = 1/7 is at least 1/7 long, and at n = 10
+        # every arc of 3/101 at least 3/101: one period of the orbit shows all
+        for alpha, n, count in [(Fraction(1, 7), 3, 6), (Fraction(3, 101), 10, 20)]:
+            q = alpha.denominator
+            coding = RotationCoding.from_real(alpha, Fraction(1, 3 * q))
+            text = sturmian_window(coding, 0, q + n - 1).to_string()
+            blocks = collect_blocks(coding, n)
+            assert len(blocks) == count and blocks == {text[i : i + n] for i in range(q)}
+
+    def test_short_arc_far_along_the_orbit(self):
+        # the arc [0, 2^-60 - 2^-100) codes 11...; the orbit from y = 1/2
+        # first reaches it after about 2^98 steps, so no slice shows "11"
+        alpha, b = Fraction(1, 3) + Fraction(1, 2**100), Fraction(1, 3) + Fraction(1, 2**60)
+        coding = RotationCoding.from_real(alpha, Fraction(1, 2), (Fraction(0), b))
+        assert "11" not in sturmian_window(coding, 0, 1 << 12).to_string()
+        x = Fraction(1, 2**61)
+        for n in (2, 3, 5):
+            word = "".join(str(int((x + k * alpha) % 1 < b)) for k in range(n))
+            blocks = collect_blocks(coding, n)
+            assert word.startswith("11") and word in blocks and len(blocks) == 2 * n
+
+    def test_whole_circle(self):
+        coding = RotationCoding.golden(interval=(Fraction(0), Fraction(1)))
+        assert collect_blocks(coding, 5) == {"11111"}
+
+    def test_output_budget(self, monkeypatch):
+        # the 2n blocks of n bits pass the window gate
+        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 2 * 10 * 10)
+        assert len(collect_blocks(GOLDEN, 10)) <= 20
+        with pytest.raises(WindowTooLarge):
+            collect_blocks(GOLDEN, 11)
+
+    def test_complexity_counts_prefixes_of_one_walk(self):
+        counts = rotation_complexity(GOLDEN, 20)
+        assert counts == [len(collect_blocks(GOLDEN, n)) for n in range(1, 21)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        delta=st.integers(-(1 << 88), 1 << 88),
+        y=st.integers(0, (1 << 128) - 1),
+        ends=st.lists(
+            st.builds(Fraction, st.integers(0, 10), st.integers(1, 10)).filter(lambda f: f <= 1),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        ),
+        n=st.integers(1, 12),
+    )
+    def test_language_against_a_long_slice(self, delta, y, ends, n):
+        # alpha within 2^-40 of golden: a 2^16-bit slice visits every arc
+        interval = tuple(sorted(ends))
+        coding = RotationCoding(GOLDEN.alpha_fixed + delta, y, interval)
+        text = sturmian_window(coding, 0, 1 << 16).to_string()
+        seen = {text[i : i + n] for i in range(len(text) - n + 1)}
+        try:
+            blocks = collect_blocks(coding, n)
+        except PrecisionExhausted:
+            return
+        assert seen <= blocks
+        assert blocks == seen
+        assert collect_blocks(RotationCoding(coding.alpha_fixed, 0, interval), n) == blocks
 
 
 class TestHereditaryClosure:
     def test_count_small(self):
         # closure of blocks {10, 01} adds 00, not 11
         assert hereditary_closure_count(["10", "01"]) == 3
+
+    def test_blocks_of_one_length(self):
+        # as bit masks "0" and "00" would both be 0: ["1", "11"] dominates 6
+        # words, not the 4 distinct masks
+        for blocks in (["1", "11"], ["10", "1"], ["12"], ["1 0"]):
+            with pytest.raises(ValueError):
+                hereditary_closure_count(blocks)
+        assert hereditary_closure_count([]) == 0
 
     def test_estimate_is_density(self):
         assert hereditary_entropy_estimate(GOLDEN, 20) == 0.5
@@ -594,6 +671,18 @@ def _zeroed_by_position(system, primes, lo, hi):
     return bits
 
 
+def _zeroed_by_index(system, primes, lo, hi):
+    # reference: the per-position block index gather zeroed[(i + lo % c) // c],
+    # with zeroed from a vectorized test of each block index
+    c = len(system.block)
+    n = np.arange(lo // c, (hi - 1) // c + 1)
+    zeroed = np.zeros(len(n), dtype=bool)
+    for k, P in enumerate(itertools.accumulate(primes, operator.mul), start=1):
+        zeroed |= (n % P == (k - 1) % P) & (n != k - 1)
+    index = (np.arange(hi - lo) + lo % c) // c
+    return np.where(zeroed[index], 0, system.window(lo, hi).bits)
+
+
 class TestMinimalSubsetVariant:
     def test_matches_position_loop(self):
         rng = random.Random(5)
@@ -637,21 +726,26 @@ class TestMinimalSubsetVariant:
         ],
     )
     def test_matches_index_formula(self, block, primes, lo):
-        # the per-position block index gather zeroed[(i + lo % c) // c],
-        # with zeroed from a vectorized test of each block index
         system = PeriodicHereditarySystem(BinaryWord.from_string(block))
-        c, hi = len(block), lo + 50_000
-        n = np.arange(lo // c, (hi - 1) // c + 1)
-        zeroed = np.zeros(len(n), dtype=bool)
-        for k, P in enumerate(itertools.accumulate(primes, operator.mul), start=1):
-            zeroed |= (n % P == (k - 1) % P) & (n != k - 1)
-        index = (np.arange(hi - lo) + lo % c) // c
-        expected = np.where(zeroed[index], 0, system.window(lo, hi).bits)
+        hi = lo + 50_000
+        expected = _zeroed_by_index(system, primes, lo, hi)
         assert np.array_equal(minimal_subset_variant(system, primes, lo, hi).bits, expected)
 
+    def test_matches_index_formula_at_random(self):
+        # products of these primes stay within the formula's int64 indices
+        rng = random.Random(7)
+        blocks = ["1", "10", "1101", "101001000", "101000100"]
+        for _ in range(200):
+            system = PeriodicHereditarySystem(BinaryWord.from_string(rng.choice(blocks), rng.randrange(-9, 10)))
+            primes = sorted(rng.sample([2, 3, 5, 7, 11, 13, 17], rng.randrange(0, 5)))
+            lo = rng.randrange(-(10**6), 10**6)
+            hi = lo + rng.randrange(1, 5000)
+            w = minimal_subset_variant(system, primes, lo, hi)
+            assert np.array_equal(w.bits, _zeroed_by_index(system, primes, lo, hi))
+
     def test_a_few_bytes_per_position(self):
-        # the periodic window, the mask and the result: a byte per position
-        # each, where int64 index arrays would take 16
+        # the periodic window and the block-padded copy that is zeroed in
+        # place: a byte per position each, with no mask and no np.where result
         system = PeriodicHereditarySystem(BinaryWord.from_string("101001000"))
         lo, size = -(10**12), 1 << 20
         minimal_subset_variant(system, [2, 3, 5, 7], lo, lo + 64)
@@ -661,7 +755,8 @@ class TestMinimalSubsetVariant:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * size
+        # plus one flag byte per 9-bit block
+        assert peak <= 2 * size + size // 8
 
     def test_zeroes_even_blocks(self):
         a, _ = two_mme_system()
