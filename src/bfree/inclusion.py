@@ -145,19 +145,25 @@ def inclusion_witness(bset_a: BSet, bset_b: BSet) -> BinaryWord | None:
 def density_estimate(bset: BSet, c: int, r: int, horizon: int) -> float:
     """Empirical density of s in [1, horizon] with s*c + r free of all moduli.
 
-    Converges to prod(1 - 1/b_k) when gcd(c, b_k) = 1 for all k; exact at
-    horizons that are multiples of the joint period up to O(1/horizon)
-    edge effects.  With c invertible mod b_k, b_k divides s*c + r for
-    exactly one class s == -r c^-1 (mod b_k), so the count is a sieve
-    over s in exact integer arithmetic: no product s*c + r is formed, and
-    c, r and the moduli may have any size.  Raises :class:`WindowTooLarge`
-    before allocating when horizon exceeds ``sieve.MAX_WINDOW_BITS``.
+    Converges to prod(1 - 1/b_k) when gcd(c, b_k) = 1 for all k, and
+    equals it at horizons that are multiples of the joint period P.  With
+    c invertible mod b_k, b_k divides s*c + r for exactly one class
+    s == -r c^-1 (mod b_k), so the count is a sieve over s in exact integer
+    arithmetic: no product s*c + r is formed, and c, r and the moduli may
+    have any size.  That coding is P-periodic in s, so with horizon = qP + t
+    the count is q times the ones of one sieved period W plus the ones of
+    W's first t bits: only P bits are sieved, and the count is the exact
+    count over [1, horizon].  Raises :class:`WindowTooLarge` before
+    allocating when horizon exceeds ``sieve.MAX_WINDOW_BITS``.
     """
     for b in bset.moduli:
         if math.gcd(c, b) != 1:
             raise NotCoprimeToC(f"gcd({c}, {b}) != 1")
     if horizon < bset.period:
         raise ValueError("horizon must be at least the joint period")
+    sieve._check_window(1, horizon + 1)
     # phi_window strikes s == -omega(k), i.e. omega(k) = r c^-1 (mod b_k)
     omega = OdometerPoint(bset, tuple(r * pow(c, -1, b) for b in bset.moduli))
-    return phi_window(omega, 1, horizon + 1).ones / horizon
+    period = phi_window(omega, 1, 1 + bset.period)
+    q, t = divmod(horizon, bset.period)
+    return (q * period.ones + int(period.bits[:t].sum())) / horizon

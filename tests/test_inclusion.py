@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfree.admissibility import is_admissible
-from bfree.core import BSet, squarefree_family, validate_bset
+from bfree.core import BSet, OdometerPoint, squarefree_family, validate_bset
 from bfree.errors import DivisiblePrecondition, NotCoprimeToC, WindowTooLarge
 from bfree.inclusion import (
     construct_admissible,
@@ -16,7 +16,7 @@ from bfree.inclusion import (
     inclusion_witness,
     word_level_includes,
 )
-from bfree.sieve import MAX_WINDOW_BITS
+from bfree.sieve import MAX_WINDOW_BITS, phi_window
 
 _POOL = [2, 3, 5, 7, 11, 4, 9, 25, 8, 27]
 
@@ -218,6 +218,13 @@ class TestDensityEstimate:
             density_estimate(validate_bset([2, 3]), 5, 0, MAX_WINDOW_BITS + 1)
         with pytest.raises(WindowTooLarge):
             density_estimate(validate_bset([2, 3]), 5, 0, 10**15)
+
+    @pytest.mark.parametrize("horizon", [900, 901, 1799, 10**5 + 7, 3 * 10**6])
+    def test_counts_the_whole_horizon(self, horizon):
+        # one sieved period stands for the whole window [1, horizon]
+        sf3, c, r = squarefree_family(3), 7, 10**20 + 3
+        omega = OdometerPoint(sf3, tuple(r * pow(c, -1, b) for b in sf3.moduli))
+        assert density_estimate(sf3, c, r, horizon) == phi_window(omega, 1, horizon + 1).ones / horizon
 
     @given(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30), st.integers(30, 200))
     @settings(max_examples=50)

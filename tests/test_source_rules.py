@@ -1,6 +1,10 @@
 """Rules on the package source that no single behaviour test can see."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,3 +202,52 @@ def test_budget_rule_sees_module_constants_and_function_reads():
     source = "MAX_A = 1\nMAX_B: int = 2\n_MAX_C = 3\nMAX_D = MAX_B\n\ndef f(x):\n    MAX_E = 4\n    return x > MAX_A\n"
     assert _budget_names(source) == {"MAX_A", "MAX_B", "MAX_D"}
     assert _names_read_in_functions(source) == {"x", "MAX_A"}
+
+
+def _imported_modules(source):
+    """Top-level names of the absolute imports in a source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "sieve.py"], ids=lambda p: p.name
+)
+def test_threads_only_in_the_sieve(path):
+    # sieve._sieve is the one place that fills a window on several CPUs, and
+    # it joins its threads before it returns; no other module starts one
+    assert "threading" not in _imported_modules(path.read_text()), f"{path.name} imports threading"
+
+
+def test_thread_rule_sees_the_sieve_and_every_import_form():
+    assert "threading" in _imported_modules((Path(bfree.__file__).parent / "sieve.py").read_text())
+    source = "import os.path, threading as t\nfrom concurrent.futures import wait\nfrom . import core\nfrom .sieve import _sieve\n"
+    assert _imported_modules(source) == {"os", "threading", "concurrent"}
+
+
+def _modules_after(statement):
+    """Names in ``sys.modules`` after a fresh interpreter runs one statement."""
+    code = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))\n"
+    src = Path(bfree.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def test_cli_start_up_leaves_concurrent_futures_unimported():
+    # concurrent.futures adds about 2.5 ms to every cold bfree process; the
+    # sieve's threads come from threading, which numpy has already loaded
+    loaded = _modules_after("import bfree.cli")
+    assert "bfree.sieve" in loaded and "concurrent.futures" not in loaded
+
+
+def test_start_up_rule_sees_an_import():
+    assert "concurrent.futures" in _modules_after("import concurrent.futures")
