@@ -17,7 +17,7 @@ from bfree.admissibility import (
     spectrum_profile,
 )
 from bfree.core import BinaryWord, OdometerPoint, crt_free_count, validate_bset
-from bfree.entropy import h_product_type
+from bfree.entropy import h_product_type, htop_bfree
 from bfree.inclusion import construct_admissible, includes, word_level_includes
 from bfree.measures import (
     ProductMeasureSpec,
@@ -37,6 +37,7 @@ from bfree.sturmian import (
     sample_periodic_windows,
     two_mme_system,
 )
+from count_oracle import closed_form_count
 from sieve_oracle import crt_free_count_sieve
 
 
@@ -67,6 +68,22 @@ def test_criterion_2_entropy_formula_vs_counting():
     target = 1 / 3
     ok = target <= h[-1] <= target + 0.01 and all(x >= target - 1e-12 for x in h)
     _report(2, ok, f"(1/2000) log2 p_2000 = {h[-1]:.6f}, never below 1/3")
+
+
+def test_criterion_2_in_exact_integers():
+    # p_{2n} <= p_n^2 (a word of length 2n is two admissible halves), so
+    # (1/n) log2 p_n falls along n = 6 * 2^j and stays at or above the
+    # formula's h: 2^{n h} <= p_n <= p_{n/2}^2 pins h from above
+    bset = validate_bset([2, 3])
+    h = htop_bfree(bset).exact
+    lengths = [6 * 2**j for j in range(12)]
+    p = block_complexity(bset, lengths[-1])
+    ok = True
+    for n in lengths:
+        bits = n * h
+        ok &= bits.denominator == 1 and 2 ** int(bits) <= p[n - 1] <= p[n // 2 - 1] ** 2
+        ok &= p[n - 1] == closed_form_count((2, 3), n)
+    _report(2, ok, f"2^(n/3) <= p_n <= p_(n/2)^2 and p_n = closed form at n = 6..{lengths[-1]}")
 
 
 def test_criterion_3_mirsky_cylinder_vs_sieve_frequency():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bfree import admissibility
 from bfree.admissibility import (
+    MAX_BLOCK_LENGTH,
     MAX_STATE_BITS,
     admissible_words,
     block_complexity,
@@ -182,6 +184,98 @@ class TestBlockComplexity:
         for m in (1, 2, 3):
             n = m * L
             assert counts[n - 1] >= 2 ** math.floor(d * n)
+
+
+def recurrence_order(moduli):
+    """d = |E|, E = {prod a_k : 0 <= a_k < b_k}, by listing every product."""
+    return len({math.prod(a) for a in itertools.product(*(range(b) for b in moduli))})
+
+
+class TestPeriodRecurrence:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_walk_and_recurrence_agree(self, data):
+        moduli: list[int] = []
+        for b in data.draw(st.lists(st.integers(2, 9), max_size=3)):
+            if sum(moduli) + b <= 14 and all(math.gcd(b, m) == 1 for m in moduli):
+                moduli.append(b)
+        bset = validate_bset(sorted(moduli))
+        edge = recurrence_order(bset.moduli) * bset.period
+        n = data.draw(st.integers(max(1, edge - 2 * bset.period), edge + 3 * bset.period))
+        counts = []
+        for factor in (0, math.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(admissibility, "_RECURRENCE_FACTOR", factor)
+                counts.append(block_complexity(bset, n))
+        assert counts[0] == counts[1]
+        if sum(moduli) <= 9 and n <= 200:
+            assert counts[0] == block_complexity_dp(bset, n)
+
+    @pytest.mark.parametrize("moduli, n_max", [((2, 3), MAX_BLOCK_LENGTH), ((3, 4), 3000), ((3, 5), 3000)])
+    def test_closed_form_at_every_period(self, moduli, n_max):
+        counts = block_complexity(validate_bset(moduli), n_max)
+        period = math.prod(moduli)
+        for n in range(period, n_max + 1, period):
+            assert counts[n - 1] == closed_form_count(moduli, n), n
+
+    @pytest.mark.parametrize(
+        "bset, n, walked",
+        [
+            (validate_bset([2, 3]), 999, 3 * 6),
+            (validate_bset([3, 5]), 303, 7 * 15),
+            (validate_bset([3, 4]), 206, 6 * 12),
+            (validate_bset([2, 5]), 200, 200),  # d = 5 > 4 s
+            (validate_bset([2, 7]), 280, 280),  # d = 7 > 4 s
+            (validate_bset([3, 5]), 92, 92),  # n <= d P
+            (BSet((2, 4)), 200, 200),  # not coprime
+            (BSet((4, 6)), 500, 500),
+        ],
+        ids=str,
+    )
+    def test_which_lengths_take_the_recurrence(self, monkeypatch, bset, n, walked):
+        # every term is walked to d P on the recurrence, to n otherwise
+        lengths = []
+        add = admissibility._add_term
+        monkeypatch.setattr(admissibility, "_add_term", lambda steps, *a: lengths.append(len(steps)) or add(steps, *a))
+        counts = block_complexity(bset, n)
+        assert set(lengths) == {walked}
+        assert counts == block_complexity_dp(bset, n)
+
+    @pytest.mark.parametrize("moduli", [[2], [5], [2, 3], [3, 4], [2, 9], [4, 5], [2, 3, 5], [3, 4, 5]])
+    def test_kept_positions_per_length(self, moduli):
+        # _period_recurrence prices the walk at s = prod_{k<K} (2^{b_k - 1} - 1)
+        # kept positions per length, without running _term_weights
+        *rest, _ = moduli
+        width = math.prod(rest)
+        kept = sum(k.bit_count() for k, w in admissibility._term_weights(rest, width).items() if w)
+        assert kept == width * math.prod(2 ** (b - 1) - 1 for b in rest)
+
+
+class TestLengthBudget:
+    # tests/test_hostile.py runs the 10^8 and 10^9 lengths under a memory limit
+    def test_budget_edge_runs(self):
+        bset = validate_bset([2, 3])
+        counts = block_complexity(bset, MAX_BLOCK_LENGTH)
+        assert len(counts) == MAX_BLOCK_LENGTH and str(counts[-1])
+        assert next(admissible_words(bset, MAX_BLOCK_LENGTH)) == "0" * MAX_BLOCK_LENGTH
+        with pytest.raises(BudgetExceeded, match=f"length {MAX_BLOCK_LENGTH + 1} exceeds budget"):
+            block_complexity(bset, MAX_BLOCK_LENGTH + 1)
+
+    def test_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(admissibility, "_term_weights", no_work)
+        monkeypatch.setattr(admissibility, "MAX_BLOCK_LENGTH", 5)
+        bset = validate_bset([2, 3])
+        with pytest.raises(BudgetExceeded):
+            block_complexity(bset, 6)
+        with pytest.raises(BudgetExceeded):
+            next(admissible_words(bset, 6))
+        # the sum of moduli is refused first, as before
+        with pytest.raises(StateSpaceTooLarge):
+            block_complexity(validate_bset([7, 9, 11]), 6)
+        assert list(admissible_words(bset, 5))
 
 
 class TestEntropyFromComplexity:

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfree import core
 from bfree.core import (
+    MAX_FAMILY_SIZE,
     BinaryWord,
     BSet,
     CylinderSpec,
@@ -15,7 +18,7 @@ from bfree.core import (
     squarefree_family,
     validate_bset,
 )
-from bfree.errors import EmptyWord, LengthMismatch, ModulusTooSmall, NotCoprime, NotSorted
+from bfree.errors import BudgetExceeded, EmptyWord, LengthMismatch, ModulusTooSmall, NotCoprime, NotSorted
 from sieve_oracle import crt_free_count_sieve
 
 # pairwise coprime pool for random moduli sets
@@ -70,6 +73,23 @@ class TestSquarefreeFamily:
         assert fam.tail_bound == Fraction(1, 7)
         tail = sum(Fraction(1, p * p) for p in [11, 13, 17, 19, 23, 29, 31, 37])
         assert tail < fam.tail_bound
+
+    def test_primes_against_a_sieve(self):
+        limit = 20_000
+        composite = np.zeros(limit, dtype=bool)
+        for p in range(2, math.isqrt(limit) + 1):
+            composite[p * p :: p] = True
+        primes = [p for p in range(2, limit) if not composite[p]]
+        assert core._first_primes(len(primes)) == primes
+
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(core, "_first_primes", lambda count: pytest.fail("search started"))
+        with pytest.raises(BudgetExceeded, match="10000000 prime squares exceed budget"):
+            squarefree_family(10**7)
+        monkeypatch.undo()
+        assert squarefree_family(MAX_FAMILY_SIZE).moduli[-1] == 104_729**2
+        with pytest.raises(BudgetExceeded):
+            squarefree_family(MAX_FAMILY_SIZE + 1)
 
 
 class TestCrtFreeCount:
