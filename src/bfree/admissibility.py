@@ -38,6 +38,13 @@ MAX_STATE_BITS = 24
 # limit (2^14000 has 4215 digits).
 MAX_BLOCK_LENGTH = 14_000
 
+# The walk advances s kept positions per length (see _period_recurrence)
+# over min(n, d P) lengths; s times that many lengths is capped.  On a
+# shared 2-vCPU Xeon, [11,13] (s = 1023) took 0.47 s at n = 900 and 0.89 s
+# at n = 1200, and [3,4,5,7] (s = 315) 0.82 s at n = 3300, so the cap
+# admits about 1 s of walk.
+MAX_WALK_STEPS = 1 << 20
+
 # The period recurrence replaces the walk past d P where d <= factor * s
 # (see _period_recurrence).  In a sweep over 19 shapes at n = 2dP..2000,
 # every shape with d <= 4 s ran faster on it; d = 5 s ran 0.96x at n = 200.
@@ -98,8 +105,9 @@ def block_complexity(bset: BSet, n_max: int) -> list[int]:
     length (every other set, and lengths up to d P, stay on the walk).
 
     A sum of moduli over MAX_STATE_BITS raises StateSpaceTooLarge, then
-    n_max over MAX_BLOCK_LENGTH raises BudgetExceeded, both before any
-    work.  Counts are exact big integers.
+    n_max over MAX_BLOCK_LENGTH raises BudgetExceeded, then s times the
+    walked lengths over MAX_WALK_STEPS raises BudgetExceeded, all before
+    any work.  Counts are exact big integers.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -117,9 +125,14 @@ def block_complexity(bset: BSet, n_max: int) -> list[int]:
     cycle = math.prod(rest)
     width = min(cycle, n_max)
     period = cycle * last
+    per_length = math.prod((1 << (b - 1)) - 1 for b in rest)
     # d >= last, since E holds 0..last - 1: shorter lengths stay on the walk
-    alphas = _period_recurrence(mods, period, n_max) if n_max > last * period else []
+    alphas = _period_recurrence(mods, period, n_max, per_length) if n_max > last * period else []
     walked = len(alphas) * period or n_max
+    if per_length * walked > MAX_WALK_STEPS:
+        raise BudgetExceeded(
+            f"{walked} lengths of {per_length} kept positions exceed budget {MAX_WALK_STEPS}"
+        )
     steps = [0] * walked  # steps[i] = p_{i+1} - p_i
     for kept, weight in _term_weights(rest, width).items():
         if kept and weight:
@@ -139,20 +152,21 @@ def _check_length(n: int) -> None:
         raise BudgetExceeded(f"length {n} exceeds budget {MAX_BLOCK_LENGTH}")
 
 
-def _period_recurrence(mods: tuple[int, ...], period: int, n_max: int) -> list[int]:
+def _period_recurrence(
+    mods: tuple[int, ...], period: int, n_max: int, per_length: int
+) -> list[int]:
     """alpha_1..alpha_d of the period recurrence, or [] to stay on the walk.
 
-    The walk advances s = prod_{k<K} (2^{b_k - 1} - 1) kept positions per
-    length: for coprime moduli, each tuple with every complement of C_k
-    nonempty keeps its own prod_{k<K} (b_k - |C_k|) of every prod_{k<K} b_k
-    positions.  The recurrence needs coprime moduli,
-    d <= _RECURRENCE_FACTOR * s and n_max > d P.  E holds 0..b_k - 1 for
-    every k, so a b_k over _RECURRENCE_FACTOR * s settles on the walk
-    before E is built.
+    The walk advances at most s = ``per_length``, prod_{k<K} (2^{b_k - 1}
+    - 1), kept positions per length: each position is kept by the tuples
+    of nonempty C_k that miss its residue mod every b_k, k < K.  The
+    recurrence needs coprime moduli, d <= _RECURRENCE_FACTOR * s and
+    n_max > d P.  E holds 0..b_k - 1 for every k, so a b_k over
+    _RECURRENCE_FACTOR * s settles on the walk before E is built.
     """
     if period != math.lcm(*mods):
         return []
-    max_d = _RECURRENCE_FACTOR * math.prod((1 << (b - 1)) - 1 for b in mods[:-1])
+    max_d = _RECURRENCE_FACTOR * per_length
     if max(mods) > max_d:
         return []
     exponents = {1}

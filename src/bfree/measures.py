@@ -5,26 +5,44 @@ under the windowed coding, optionally convolved with an independent
 Bernoulli mask (keep each 1 with probability p).  p = 1 gives the plain
 push-forward; p = 1/2 gives the measure of maximal entropy.
 
-RNG contract v3 (``GENERATOR_ID = "philox4x64-chunked-v3"``, recorded in
-batch metadata): samples are split into chunks of CHUNK = 1024.  Chunk c
-draws from the counter-based generator Philox(key=(seed << 64) | c)
-(Salmon et al., SC'11), a pure function of (seed, c), so chunks are
-order-independent and can run in parallel.  A chunk's stream first
-gives the odometer points of all CHUNK slots, one
-``integers(0, m, size=CHUNK)`` per odometer modulus m in modulus order,
-then, when p < 1, the mask of the chunk's samples in sample order,
-position by position, from raw 64-bit words (``random_raw``).  At
-p = 1/2 each position takes one bit, least significant bit of each word
-first, 64 positions per word.  Any other p compares one word U per
-position with T = floor(p 2^64): U < T keeps the 1 and U > T drops it.
-A tie settles after the chunk's mask words: each tied position, in
-order, reads further words against the next 64-bit digits of p, and
-drops at once where p 2^64 is an integer.  So a 1 is kept with
-probability exactly p.  Points are always drawn for whole chunks, so a
+RNG contract v4 (``GENERATOR_ID = "splitmix64-counter-v4"``, recorded in
+batch metadata).  Every random word is a pure function of (seed, stream,
+index), in wrapping 64-bit arithmetic (W = 2^64).  With SplitMix64's
+finalizer (Steele, Lea and Flood, OOPSLA 2014)
+
+    mix64(z):  z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 mod W
+               z = (z ^ z >> 27) * 0x94D049BB133111EB mod W
+               return z ^ z >> 31
+
+and gamma = 0x9E3779B97F4A7C15, let S(s, i) = mix64(s + (i + 1) gamma
+mod W), the word i of SplitMix64 seeded with s.  Stream (f, a) has the
+key S(S(seed, f), a) and its word i is S(key, i).  The families f are:
+
+- f = 0, a = 0: the mask stream;
+- f = 1, a = r: the tie stream of level r = 0, 1, ...;
+- f = 2 + k, a = 0, 1, ...: the points of the k-th odometer modulus m,
+  attempt a.
+
+Coordinate mod m of sample i: word i of stream (2 + k, 0), w, gives
+w mod m unless w >= W - (W mod m); a rejected slot reads word i of
+stream (2 + k, 1), then (2 + k, 2), ..., so it is exactly uniform for
+every m < 2^63 (larger moduli raise ValueError before any draw).  When p < 1, the mask keeps
+or drops each 1 of the batch at the row-major position j = i L + n of
+row i and window offset n.  At p = 1/2, j keeps iff bit j mod 64 (least
+significant first) of mask word j // 64 is 1.  Any other p reads one
+16-bit digit per position, four per word, least significant first:
+digit D_j = mask word j // 4 >> 16 (j mod 4) mod 2^16, against
+floor(p 2^16) = T.  D_j < T keeps and D_j > T drops.  A tie D_j = T
+reads the base-2^64 digits of the rest x = p 2^16 - T: level r = 0,
+1, ... compares word j of tie stream r with digit r, floor(x W^(r+1))
+mod W.  Below keeps, above drops, and equal goes on to level r + 1,
+unless x W^(r+1) is an integer: then, as at once where x = 0, the tie
+drops.  So a 1 is kept with probability exactly p (Knuth and Yao,
+1976): p = 0 drops every 1, and a dyadic p down to 2^-16 never reads
+past the first digit.  Since no index depends on the count, a
 batch of count k is the first k samples of any larger batch with the
-same seed and window.  v3 changed only the mask: p = 1 batches and all
-odometer points are those of v2, whose mask kept a 1 iff a ``random()``
-double was < float(p).
+same seed and window.  v4 changed every sampled bit of v3, whose Philox
+streams were chunked by 1024 samples.
 
 Every sampler, ``sturmian.sample_periodic_windows`` included, draws
 through this one core, so one seed gives all of them the same points (a
@@ -45,7 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .core import BinaryWord, BSet, CylinderSpec
-from .errors import EmptySupport, LengthMismatch, TooManyZeros
+from .errors import BudgetExceeded, EmptySupport, LengthMismatch, TooManyZeros
 from .sieve import SAProfile, _check_window, _sieve
 
 __all__ = [
@@ -63,20 +81,26 @@ __all__ = [
     "empirical_block_distribution",
 ]
 
-GENERATOR_ID = "philox4x64-chunked-v3"
+GENERATOR_ID = "splitmix64-counter-v4"
 
-# Samples per Philox stream; part of the RNG contract.
-CHUNK = 1024
+_MAX64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
-# Mask words drawn per call, which bounds the temporary buffers; any split
-# reads the same stream, so it is not part of the contract.
-MASK_DRAW = 1 << 16
+# Words per vector pass, which bounds the temporary buffers; any split
+# gives the same words, so it is not part of the contract.
+DRAW = 1 << 13
 
 # The coverage DP stores at most min(2^|zeros|, prod (m_k + 1)) states over
 # the stored moduli (all when p < 1, all but the last when p = 1), m_k the
 # coordinates mod b_k that strike a zero and no 1; a larger bound is
 # refused before any state is built.
 MAX_COVER_STATES = 1 << 20
+
+# The coverage DP's set-up takes sum_k |classes_k| x (|ones| + |zeros|)
+# steps: 9.0e6 steps, a 6000-bit target of a period-3000 block, took
+# 0.5-0.9 s on a shared 2-vCPU Xeon.  A larger count is refused first.
+MAX_COVER_SETUP = 1 << 24
 
 
 def mirsky_cylinder(bset: BSet, ones: Iterable[int]) -> Fraction:
@@ -115,9 +139,13 @@ def _cylinder(moduli, classes, spec: CylinderSpec, p: Fraction) -> Fraction:
     the coordinates that strike the lowest missing 0.  The mask bits
     (striking coordinates x |zeros|) pass the window gate before any mask
     is built; a state bound over MAX_COVER_STATES raises TooManyZeros
-    before any state is built.
+    before any state is built, and a set-up over MAX_COVER_SETUP steps
+    raises BudgetExceeded before it runs.
     """
     ones, zeros = spec.ones, sorted(spec.zeros)
+    setup = sum(map(len, classes)) * (len(ones) + len(zeros))
+    if setup > MAX_COVER_SETUP:
+        raise BudgetExceeded(f"cylinder set-up of {setup} steps exceeds budget {MAX_COVER_SETUP}")
     full = (1 << len(zeros)) - 1
     groups = []  # per modulus: the 0 indices each striking coordinate strikes, the idle count
     for b, ak in zip(moduli, classes):
@@ -239,14 +267,58 @@ class SampleBatch:
         )
 
 
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer on a 64-bit Python int."""
+    z = (z ^ z >> 30) * _MIX[0] & _MAX64
+    z = (z ^ z >> 27) * _MIX[1] & _MAX64
+    return z ^ z >> 31
+
+
+def _key(seed: int, family: int, level: int) -> int:
+    """Key of stream (family, level): S(S(seed, family), level)."""
+    family_key = _mix64((seed + (family + 1) * _GAMMA) & _MAX64)
+    return _mix64((family_key + (level + 1) * _GAMMA) & _MAX64)
+
+
+def _words(key: int, index: np.ndarray) -> np.ndarray:
+    """Words ``index`` (uint64) of the stream ``key``, mix64(key + (i + 1) gamma)."""
+    z = index + np.uint64(1)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(key)
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(_MIX[0])
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_MIX[1])
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _uniform(seed: int, family: int, m: int, count: int) -> np.ndarray:
+    """int64 coordinates mod m of samples 0..count-1, points family ``family``."""
+    out = np.empty(count, dtype=np.int64)
+    excess = (1 << 64) % m  # the top ``excess`` words are rejected
+    top = np.uint64(_MAX64 - excess)
+    for start in range(0, count, DRAW):
+        index = np.arange(start, min(count, start + DRAW), dtype=np.uint64)
+        words = _words(_key(seed, family, 0), index)
+        attempt, redo = 0, np.flatnonzero(words > top) if excess else ()
+        while len(redo):
+            attempt += 1
+            words[redo] = _words(_key(seed, family, attempt), index[redo])
+            redo = redo[words[redo] > top]
+        out[start : start + len(index)] = words % np.uint64(m)
+    return out
+
+
 def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: int, seed: int):
     """Read-only (count, hi - lo) uint8 bits and (count, K) int64 points.
 
-    The package's only random draw: chunk c of CHUNK masked codings over
-    [lo, hi) reads one Philox stream keyed by (seed << 64) | c, first one
-    ``integers(0, m, CHUNK)`` per odometer modulus m, then, when p < 1,
-    the mask words of :func:`_mask`.  One Philox is re-keyed per chunk,
-    which gives the stream of a fresh one.
+    The package's only random draw, by the contract of the module
+    docstring: the points of :func:`_uniform`, then, when p < 1, the mask
+    of :func:`_mask` over the built block.
 
     Pairwise coprime draw moduli m_k make the odometer cyclic, Z/P with
     P = prod m_k: row i is the all-zero point's coding shifted by the t_i
@@ -256,28 +328,19 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     slice from t_i.  Memory is the block plus that (P + L - 1)-byte
     line, and P + L - 1 <= count * L, so the line is within the block's
     budget.  With fewer rows than points, or moduli that are not
-    coprime, every row is sieved.  Either way the mask is applied to the
-    built block.
+    coprime, every row is sieved.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} is outside [0, 2^64)")
+    if max(draw_moduli, default=1) >= 1 << 63:
+        raise ValueError(f"odometer modulus {max(draw_moduli)} is not below 2^63")
     _check_window(lo, hi, rows=count)
-    length, chunks = hi - lo, -(-count // CHUNK)
-    omegas = np.empty((chunks * CHUNK, len(draw_moduli)), dtype=np.int64)
-    bitgen = np.random.Philox(key=int(seed) << 64)
-    rng = np.random.Generator(bitgen)
-    # a fresh state (counter 0, empty buffers) whose key[0] is the chunk
-    fresh, masks_from = bitgen.state, []
-    for c in range(chunks):
-        fresh["state"]["key"][0] = c
-        bitgen.state = fresh
-        for k, m in enumerate(draw_moduli):
-            omegas[c * CHUNK : (c + 1) * CHUNK, k] = rng.integers(0, m, size=CHUNK)
-        if p != 1:
-            masks_from.append(bitgen.state)
-    omegas = omegas[:count]
+    length = hi - lo
+    omegas = np.empty((count, len(draw_moduli)), dtype=np.int64)
+    for k, m in enumerate(draw_moduli):
+        omegas[:, k] = _uniform(seed, 2 + k, m, count)
     omegas.setflags(write=False)
     period = math.prod(draw_moduli)
     if period <= count and math.lcm(*draw_moduli) == period:
@@ -297,46 +360,50 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     else:
         block = _sieve(lo, hi, moduli, classes, omegas)
     if p != 1:
-        flat = block.reshape(-1)
-        for c, state in enumerate(masks_from):
-            bitgen.state = state
-            _mask(bitgen, p, flat[c * CHUNK * length : min(count, (c + 1) * CHUNK) * length])
+        _mask(seed, p, block.reshape(-1))
     block.setflags(write=False)
     return block, omegas
 
 
-def _mask(bitgen, p: Fraction, bits: np.ndarray) -> None:
+def _mask(seed: int, p: Fraction, bits: np.ndarray) -> None:
     """Keep each 1 of the 1-D uint8 ``bits`` with probability p, in place.
 
-    The mask rule of the module docstring, on raw words of ``bitgen``,
-    MASK_DRAW per call.  A position is kept iff the uniform real
-    0.U U' U''... in base 2^64 is < p, so exactly with probability p
-    (Knuth and Yao, 1976); after a tie with T, later words are U's further
-    digits.
+    Position j is the j-th of the batch: one bit of the mask stream at
+    p = 1/2, one 16-bit digit otherwise, then the tie levels of the
+    module docstring, DRAW mask words per pass.  A position is kept iff
+    the uniform real 0.D_j U_0 U_1... (the digit, then tie words) is
+    < p, so exactly with probability p.
     """
-    n = len(bits)
+    n, key = len(bits), _key(seed, 0, 0)
     if p == Fraction(1, 2):
-        for start in range(0, n, 64 * MASK_DRAW):
-            size = min(64 * MASK_DRAW, n - start)
-            words = bitgen.random_raw(-(-size // 64)).astype("<u8", copy=False)
+        for start in range(0, n, 64 * DRAW):
+            size = min(64 * DRAW, n - start)
+            index = np.arange(start // 64, (start + size + 63) // 64, dtype=np.uint64)
+            words = _words(key, index).astype("<u8", copy=False)
             bits[start : start + size] &= np.unpackbits(
                 words.view(np.uint8), count=size, bitorder="little"
             )
         return
-    threshold, rest = divmod(p.numerator << 64, p.denominator)
+    threshold, rest = divmod(p.numerator << 16, p.denominator)
     # a tie stays a 1 until it is settled, unless it drops at once
     below = np.less_equal if rest else np.less
-    ties: list[int] = []
-    for start in range(0, n, MASK_DRAW):
-        words = bitgen.random_raw(min(MASK_DRAW, n - start))
-        bits[start : start + len(words)] &= below(words, np.uint64(threshold))
+    ties = []
+    for start in range(0, n, 4 * DRAW):
+        size = min(4 * DRAW, n - start)
+        index = np.arange(start // 4, (start + size + 3) // 4, dtype=np.uint64)
+        digits = _words(key, index).astype("<u8", copy=False).view("<u2")[:size]
+        bits[start : start + size] &= below(digits, threshold)
         if rest:
-            ties.extend((start + np.flatnonzero(words == np.uint64(threshold))).tolist())
-    for j in ties:
-        digit, rest_j = divmod(rest << 64, p.denominator)
-        while (word := int(bitgen.random_raw())) == digit and rest_j:
-            digit, rest_j = divmod(rest_j << 64, p.denominator)
-        bits[j] &= word < digit
+            ties.append(start + np.flatnonzero(digits == threshold))
+    pending = np.concatenate(ties) if ties else np.zeros(0, dtype=np.intp)
+    pending = pending[bits[pending] == 1]
+    level = 0
+    while pending.size:
+        digit, rest = divmod(rest << 64, p.denominator)
+        words = _words(_key(seed, 1, level), pending.astype(np.uint64))
+        bits[pending] = words < np.uint64(digit)
+        pending = pending[words == np.uint64(digit)] if rest else pending[:0]
+        level += 1
 
 
 def _batch(measure: str, moduli, classes, draw_moduli, p, lo, hi, count, seed, /, **spec):
@@ -363,9 +430,8 @@ def sample_product(
 ) -> SampleBatch:
     """Odometer-coding windows with each 1 kept independently w.p. p.
 
-    The mask is drawn after the odometer points of the chunk, from the
-    same stream; with p = 1 the draw is skipped and the batch coincides
-    with :func:`sample_mirsky`.
+    The mask has its own stream; with p = 1 it is skipped and the batch
+    coincides with :func:`sample_mirsky`.
     """
     mods = spec.bset.moduli
     return _batch(

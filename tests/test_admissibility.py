@@ -10,6 +10,7 @@ from bfree import admissibility
 from bfree.admissibility import (
     MAX_BLOCK_LENGTH,
     MAX_STATE_BITS,
+    MAX_WALK_STEPS,
     admissible_words,
     block_complexity,
     entropy_from_complexity,
@@ -276,6 +277,41 @@ class TestLengthBudget:
         with pytest.raises(StateSpaceTooLarge):
             block_complexity(validate_bset([7, 9, 11]), 6)
         assert list(admissible_words(bset, 5))
+
+
+class TestWalkBudget:
+    # tests/test_hostile.py runs [11, 13] at n = 14000 under a memory limit
+    @pytest.mark.parametrize("moduli", [(2, 3), (2, 7), (2, 9)])
+    def test_longest_length_admitted(self, moduli):
+        # s = 1: 14000 walked lengths at most
+        assert len(block_complexity(validate_bset(moduli), MAX_BLOCK_LENGTH)) == MAX_BLOCK_LENGTH
+
+    @pytest.mark.parametrize(
+        "moduli, n, kept, walked",
+        [
+            ((11, 13), 40, 1023, 40),  # d P = 8151: every length is walked
+            ((3, 5), 3000, 3, 7 * 15),  # past d P = 105 the recurrence runs
+            ((2, 3, 5), 40, 3, 40),
+        ],
+    )
+    def test_refused_before_the_walk(self, monkeypatch, moduli, n, kept, walked):
+        # s kept positions per length times the lengths walked: at the budget
+        # the counts come back, one step over it is refused before _term_weights
+        bset = validate_bset(moduli)
+        monkeypatch.setattr(admissibility, "MAX_WALK_STEPS", kept * walked)
+        assert len(block_complexity(bset, n)) == n
+
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(admissibility, "_term_weights", no_work)
+        monkeypatch.setattr(admissibility, "MAX_WALK_STEPS", kept * walked - 1)
+        with pytest.raises(BudgetExceeded, match=f"{walked} lengths of {kept} kept positions"):
+            block_complexity(bset, n)
+
+    def test_budget_admits_about_a_second(self):
+        # [11, 13] (s = 1023) at n = 1025 is the longest walk admitted
+        assert MAX_WALK_STEPS // 1023 == 1025
 
 
 class TestEntropyFromComplexity:

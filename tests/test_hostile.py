@@ -44,10 +44,15 @@ def raised(result) -> str:
         "admissibility.block_complexity(core.validate_bset([2, 3]), 10**9)",
         "next(admissibility.admissible_words(core.validate_bset([2, 3]), 10**8))",
         "core.squarefree_family(10**7)",
+        # 8151 walked lengths of 1023 kept positions, tens of seconds of walk
+        "admissibility.block_complexity(core.validate_bset([11, 13]), 14000)",
+        # 9999 zero phases times 10^5 target bits: about 10^9 set-up steps
+        "sturmian.mme_block_frequency(sturmian.PeriodicHereditarySystem(core.BinaryWord.from_string("
+        "'0' * 9999 + '1')), core.BinaryWord.from_string('0' * 10**5), 1)",
     ],
 )
 def test_library_call_refused(call):
-    result = run_limited(["-c", f"from bfree import admissibility, core\n{call}"])
+    result = run_limited(["-c", f"from bfree import admissibility, core, sturmian\n{call}"])
     assert result.returncode == 1 and raised(result) == "BudgetExceeded", result.stderr[-2000:]
 
 
@@ -56,6 +61,7 @@ def test_library_call_refused(call):
     [
         ["complexity", "--bset", "2,3", "--n", "3000000"],
         ["complexity", "--bset", "3", "--n", "25000"],  # past the 4300-digit int -> str limit
+        ["complexity", "--bset", "11,13", "--n", "14000"],  # over the walk budget
     ],
 )
 def test_cli_call_refused(argv):

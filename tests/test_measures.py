@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -18,7 +19,6 @@ from bfree.cli import main
 from bfree.core import BinaryWord, CylinderSpec, OdometerPoint, squarefree_family, validate_bset
 from bfree.errors import EmptySupport, LengthMismatch, TooManyZeros, WindowTooLarge
 from bfree.measures import (
-    CHUNK,
     GENERATOR_ID,
     ProductMeasureSpec,
     SampleBatch,
@@ -34,7 +34,7 @@ from bfree.measures import (
     squeeze,
 )
 from bfree.sieve import MAX_WINDOW_BITS, SAProfile, eta_window, phi_sa_window, phi_window
-from bfree.sturmian import sample_periodic_windows, two_mme_system
+from bfree.sturmian import PeriodicHereditarySystem, sample_periodic_windows, two_mme_system
 from cylinder_oracle import mixed_cylinder_ie
 
 
@@ -279,7 +279,7 @@ class TestSamplers:
     @pytest.mark.parametrize("seed", [-1, 2**64, -(2**70)])
     @pytest.mark.parametrize("count", [0, 2])
     def test_seed_domain(self, seed, count):
-        # a negative seed reached numpy's Philox key check, and only when count > 0
+        # a negative seed once reached numpy's Philox key check, and only when count > 0
         with pytest.raises(ValueError, match=f"seed {seed} is outside"):
             sample_mirsky(validate_bset([2, 3]), 0, 4, count, seed)
 
@@ -358,8 +358,8 @@ class TestSamplers:
 
 
 class TestSamplerContractV2:
-    """The parts of the sampler contract that v3 keeps from v2: chunked
-    points, blocks, prefixes and budgets.  The mask's stream is in
+    """The parts of the sampler contract kept since v2: codings of their
+    points, blocks, prefixes and budgets.  The v4 word streams are in
     TestSamplerContractV3."""
 
     def test_words_are_codings_of_their_omegas(self):
@@ -383,13 +383,19 @@ class TestSamplerContractV2:
         masked = sample_generalized(prof, Fraction(1, 2), 5, 41, 200, seed=23)
         assert all(m.dominated_by(w) for m, w in zip(masked.words, batch.words))
 
-    def test_prefix_stability_across_chunks(self):
-        spec = ProductMeasureSpec(validate_bset([2, 3, 5]), Fraction(1, 2))
-        full = sample_product(spec, 3, 20, 4 * CHUNK, seed=31)
-        for count in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
-            part = sample_product(spec, 3, 20, count, seed=31)
-            assert part.words == full.words[:count]
-            assert np.array_equal(part.omegas, full.omegas[:count])
+    def test_prefix_stability_across_chunks(self, monkeypatch):
+        # rows of 5 bits: row 12 straddles mask words 0 and 1 at p = 1/2, and
+        # every row but each fourth straddles two 16-bit digit words; DRAW = 2
+        # splits the points and mask words into passes of two words
+        for p in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
+            spec = ProductMeasureSpec(validate_bset([2, 3, 5]), p)
+            full = sample_product(spec, 3, 8, 40, seed=31)
+            for draw in (measures.DRAW, 2):
+                monkeypatch.setattr(measures, "DRAW", draw)
+                for count in (0, 1, 3, 4, 5, 12, 13, 14, 39):
+                    part = sample_product(spec, 3, 8, count, seed=31)
+                    assert np.array_equal(part.bits, full.bits[:count])
+                    assert np.array_equal(part.omegas, full.omegas[:count])
 
     def test_large_offset(self):
         bset = validate_bset([4, 9])
@@ -434,7 +440,7 @@ class TestSamplerContractV2:
             raise AssertionError("drew before the window checks")
 
         monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 3 * 64 * 900)
-        monkeypatch.setattr(np.random, "Philox", draw)
+        monkeypatch.setattr(measures, "_words", draw)
         mods, classes = (4, 9, 25), [(0,)] * 3
         for lo, hi, count, error in [
             (0, 64 * 900, -1, ValueError),
@@ -447,6 +453,10 @@ class TestSamplerContractV2:
         ]:
             with pytest.raises(error):
                 _sample(mods, classes, mods, Fraction(1, 2), lo, hi, count, 0)
+        # int64 points hold coordinates below 2^63 only
+        for m in (2**63, 2**63 + 1, 2**64 + 1):
+            with pytest.raises(ValueError, match=f"modulus {m} is not below 2\\^63"):
+                _sample((m,), [(0,)], (m,), Fraction(1), 0, 4, 2, 0)
 
     def test_wheel_blocks_are_read_only(self):
         bset = validate_bset([4, 9, 25])
@@ -517,118 +527,186 @@ class TestSamplerContractV2:
             assert abs(share - exact) <= 4 * sigma, (pattern, share, exact)
 
 
-class StubWords:
-    """A bit generator whose raw words are ``words``; it raises when asked
-    for more, and ``read`` counts the words handed out."""
-
-    def __init__(self, words):
-        self.words, self.read = [np.uint64(w) for w in words], 0
-
-    def random_raw(self, size=None):
-        n = 1 if size is None else size
-        if self.read + n > len(self.words):
-            raise AssertionError(f"read word {self.read + n} of {len(self.words)}")
-        out = self.words[self.read : self.read + n]
-        self.read += n
-        return out[0] if size is None else np.array(out, dtype=np.uint64)
+W64 = 1 << 64
 
 
-def replay_v3(bset, p, lo, hi, count, seed):
-    """Contract v3 replayed with a fresh numpy Philox per chunk: the points,
-    then the keep bit of every position from raw words in plain Python."""
-    length, keeps, omegas = hi - lo, [], []
-    threshold = (p.numerator << 64) // p.denominator
-    for c in range(-(-count // CHUNK)):
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | c))
-        points = np.stack([rng.integers(0, m, size=CHUNK) for m in bset.moduli], axis=1)
-        rows = min(CHUNK, count - c * CHUNK)
-        omegas.append(points[:rows])
-        n = rows * length
-        if p == Fraction(1, 2):
-            words = rng.bit_generator.random_raw(-(-n // 64)).tolist()
-            keep = [words[j // 64] >> j % 64 & 1 for j in range(n)]
+def splitmix(s, i):
+    """Word i of SplitMix64 seeded with s: mix64(s + (i + 1) gamma)."""
+    z = (s + (i + 1) * 0x9E3779B97F4A7C15) % W64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % W64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % W64
+    return z ^ z >> 31
+
+
+@functools.cache
+def stream_key(seed, family, level):
+    return splitmix(splitmix(seed, family), level)
+
+
+def replay_v4(moduli, p, length, count, seed):
+    """Contract v4 from the ``bfree.measures`` docstring, in plain Python
+    ints: the points, the keep bit of every position, and the number of
+    positions whose 16-bit digit tied."""
+    points = []
+    for i in range(count):
+        row = []
+        for k, m in enumerate(moduli):
+            attempt = 0
+            while (w := splitmix(stream_key(seed, 2 + k, attempt), i)) >= W64 - W64 % m:
+                attempt += 1
+            row.append(w % m)
+        points.append(row)
+    n, keep, ties = count * length, [], 0
+    mask = [splitmix(stream_key(seed, 0, 0), i) for i in range(n // 4 + 1)]
+    threshold, x = divmod(p * 2**16, 1)
+    for j in range(n):
+        if p == 1:
+            keep.append(1)
+        elif p == Fraction(1, 2):
+            keep.append(mask[j // 64] >> j % 64 & 1)
+        elif (digit := mask[j // 4] >> 16 * (j % 4) & 0xFFFF) != threshold:
+            keep.append(int(digit < threshold))
         else:
-            words = rng.bit_generator.random_raw(n).tolist()
-            assert threshold not in words  # a tie would read further words
-            keep = [int(w < threshold) for w in words]
-        keeps.append(np.array(keep, dtype=np.uint8).reshape(rows, length))
-    return np.concatenate(omegas), np.concatenate(keeps)
+            ties += 1
+            level, rest, kept = 0, x, 0
+            while rest:
+                digit, rest = divmod(rest * W64, 1)
+                if (w := splitmix(stream_key(seed, 1, level), j)) != digit:
+                    kept = int(w < digit)
+                    break
+                level += 1
+            keep.append(kept)
+    return points, np.array(keep, dtype=np.uint8).reshape(count, length), ties
+
+
+def patched_words(monkeypatch, forced, skip=()):
+    """Make ``measures._words`` return forced[key, index] where given; return
+    the list of (key, indices) it is asked for, keys in ``skip`` left out."""
+    words, reads = measures._words, []
+
+    def source(key, index):
+        out = words(key, index)
+        if key not in skip:
+            reads.append((key, index.tolist()))
+        for pos, i in enumerate(index.tolist()):
+            out[pos] = forced.get((key, i), out[pos])
+        return out
+
+    monkeypatch.setattr(measures, "_words", source)
+    return reads
+
+
+ONE = PeriodicHereditarySystem(BinaryWord.from_string("1"))  # modulus 1, every bit 1
 
 
 class TestSamplerContractV3:
+    """The v4 word streams (v3 brought the exact mask, v4 its counter words)."""
+
     def test_stream_layout(self):
-        # the documented contract, replayed with numpy's Philox directly: three
-        # chunks, the last of 3 rows, whose 15 positions leave 49 bits of its
-        # one mask word unused
-        bset, lo, hi, seed = validate_bset([2, 3]), 4, 9, 77
-        count = 2 * CHUNK + 3
-        mirsky = sample_mirsky(bset, lo, hi, count, seed)
-        for i, omega in enumerate(mirsky.omegas.tolist()):
-            assert np.array_equal(mirsky.bits[i], phi_window(OdometerPoint(bset, omega), lo, hi).bits)
-        for p in (Fraction(1, 2), Fraction(1, 3)):
+        # the documented contract replayed in plain ints; rows of 5 bits
+        # straddle 64- and 16-bit words
+        lo, hi, count, seed = 4, 9, 70, 77
+        cases = itertools.product(
+            (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 2**65)),
+            ((2, 3), (4, 9, 25), (2, 10**10 + 19)),
+        )
+        for p, moduli in cases:
+            bset = validate_bset(moduli)
             batch = sample_product(ProductMeasureSpec(bset, p), lo, hi, count, seed)
-            omegas, keep = replay_v3(bset, p, lo, hi, count, seed)
-            assert np.array_equal(batch.omegas, omegas)
-            assert np.array_equal(mirsky.omegas, omegas)
+            mirsky = sample_mirsky(bset, lo, hi, count, seed)
+            points, keep, _ = replay_v4(moduli, p, hi - lo, count, seed)
+            assert batch.omegas.tolist() == points
+            for i, omega in enumerate(points):
+                coding = phi_window(OdometerPoint(bset, omega), lo, hi)
+                assert np.array_equal(mirsky.bits[i], coding.bits)
             assert np.array_equal(batch.bits, mirsky.bits & keep)
 
-    def test_p_one_batches_keep_their_v2_bits(self):
-        # drawn under contract v2; v3 changed only the mask
-        bset = validate_bset([4, 9, 25])
-        points = [[2, 7, 19], [3, 8, 16], [3, 5, 5], [3, 7, 15], [0, 8, 11]]
-        batch = sample_mirsky(bset, -3, 13, 5, seed=2026)
-        assert [w.to_string() for w in batch.words] == [
-            "1011101110111001", "0111011101110011", "0111011001110111",
-            "0111001101110001", "1110011011101010",
-        ]
-        assert batch.omegas.tolist() == points
-        half = sample_product(ProductMeasureSpec(bset, Fraction(1, 2)), -3, 13, 5, seed=2026)
-        assert half.omegas.tolist() == points
-        prof = SAProfile(validate_bset([4, 9]), (2, 3), (frozenset({0, 2}), frozenset({1, 4, 7})))
-        general = sample_generalized(prof, Fraction(1), 5, 17, 4, seed=2026)
-        assert [w.to_string() for w in general.words] == [
-            "010001010001", "010001010001", "000101000101", "010001010001",
-        ]
-        assert general.omegas.tolist() == [[1, 2], [1, 2], [1, 1], [1, 2]]
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(3, 2**65)])
+    def test_periodic_windows_replay(self, p):
+        # the block "1" has modulus 1 and all-1 windows, so its rows are the
+        # keep bits; 2^17 positions hold 16-bit ties, settled in the tie
+        # streams at p = 1/3
+        length, count, seed = 64, 2048, 9
+        windows = sample_periodic_windows(ONE, p, length, count, seed)
+        points, keep, ties = replay_v4((1,), p, length, count, seed)
+        assert points == [[0]] * count
+        assert np.array_equal(windows, keep)
+        assert ties >= 1 and (p or not keep.any())
+        assert not sample_periodic_windows(two_mme_system()[0], 0, 9, 50, seed=3).any()
 
-    def test_tie_reads_the_next_digits_after_the_mask_words(self, monkeypatch):
-        # 1/3 = 0.TTT... in base 2^64, T = floor(2^64 / 3): position 0 ties,
-        # 1 drops and 2 keeps; then position 0 ties again with the second
-        # digit and keeps on the third
-        t, top = (1 << 64) // 3, (1 << 64) - 1
-        for draw in (measures.MASK_DRAW, 2):
-            monkeypatch.setattr(measures, "MASK_DRAW", draw)
-            bits, stub = np.ones(3, dtype=np.uint8), StubWords([t, top, 0, t, 0])
-            measures._mask(stub, Fraction(1, 3), bits)
-            assert bits.tolist() == [1, 0, 1] and stub.read == 5
-        # a further word above the digit drops; a 0 still takes a word and stays 0
-        bits, stub = np.array([1, 0], dtype=np.uint8), StubWords([t, 0, t + 1])
-        measures._mask(stub, Fraction(1, 3), bits)
-        assert bits.tolist() == [0, 0] and stub.read == 3
+    def test_forced_tie_and_rejection(self, monkeypatch):
+        # 1/3 = 0.T (1/3 2^-16) with T = 21845, and the rest 1/3 has every
+        # base-2^64 digit D: positions 0, 1, 2 and 7 tie; 0 ties again at
+        # level 0 and keeps at level 1, 1 drops and 2 and 7 settle at level 0
+        seed, t, d = 5, (1 << 16) // 3, W64 // 3
+        mask, tie0, tie1 = stream_key(seed, 0, 0), stream_key(seed, 1, 0), stream_key(seed, 1, 1)
+        forced = {
+            (mask, 0): t | t << 16 | t << 32 | (t + 1) << 48,
+            (mask, 1): (t - 1) | 0 << 16 | 0xFFFF << 32 | t << 48,
+            (tie0, 0): d, (tie0, 1): d + 1, (tie0, 2): d - 5, (tie0, 7): d + 1,
+            (tie1, 0): d - 1,
+        }
+        reads = patched_words(monkeypatch, forced, skip={stream_key(seed, 2, 0)})
+        bits = sample_periodic_windows(ONE, Fraction(1, 3), 8, 1, seed)
+        assert bits.tolist() == [[1, 0, 1, 0, 1, 1, 0, 0]]
+        assert reads == [(mask, [0, 1]), (tie0, [0, 1, 2, 7]), (tie1, [0])]
+        # 2^64 mod 3 = 1: the top word rejects, twice for slot 1, which then
+        # takes attempt 2; 4 divides 2^64, so the top word gives 3 mod 4
+        attempt = [stream_key(seed, 2, a) for a in range(3)]
+        forced = {
+            (attempt[0], 1): W64 - 1, (attempt[1], 1): W64 - 1, (stream_key(seed, 3, 0), 2): W64 - 1
+        }
+        reads = patched_words(monkeypatch, forced)
+        omegas = sample_mirsky(validate_bset([3, 4]), 0, 6, 4, seed).omegas
+        monkeypatch.undo()
+        plain = sample_mirsky(validate_bset([3, 4]), 0, 6, 4, seed).omegas
+        assert omegas[:, 0].tolist() == [plain[0, 0], splitmix(attempt[2], 1) % 3, *plain[2:, 0]]
+        assert omegas[:, 1].tolist() == [plain[0, 1], plain[1, 1], 3, plain[3, 1]]
+        assert [(key, index) for key, index in reads if key != attempt[0]] == [
+            (attempt[1], [1]), (attempt[2], [1]), (stream_key(seed, 3, 0), [0, 1, 2, 3])
+        ]
 
-    def test_tie_drops_where_the_digits_of_p_end(self):
-        # 1/4 * 2^64 = 2^62 is an integer: U = 2^62 is U >= p, no further draw
-        t = 1 << 62
-        bits, stub = np.ones(3, dtype=np.uint8), StubWords([t, t - 1, t + 1])
-        measures._mask(stub, Fraction(1, 4), bits)
-        assert bits.tolist() == [0, 1, 0] and stub.read == 3
-        # 3 / 2^65 = 0.(1)(2^63) in base 2^64: a second tie drops, no third draw
-        for second, kept in ((1 << 63, 0), ((1 << 63) - 1, 1)):
-            bits, stub = np.ones(1, dtype=np.uint8), StubWords([1, second])
-            measures._mask(stub, Fraction(3, 2**65), bits)
-            assert bits.tolist() == [kept] and stub.read == 2
+    def test_tie_drops_where_the_digits_of_p_end(self, monkeypatch):
+        seed = 6
+        mask, tie0, point = stream_key(seed, 0, 0), stream_key(seed, 1, 0), {stream_key(seed, 2, 0)}
+        # 3 / 2^16 is its first digit: a tie drops with no further read
+        reads = patched_words(monkeypatch, {(mask, 0): 3 | 2 << 16 | 4 << 32 | 3 << 48}, point)
+        bits = sample_periodic_windows(ONE, Fraction(3, 2**16), 4, 1, seed)
+        assert bits.tolist() == [[0, 1, 0, 0]]
+        assert reads == [(mask, [0])]
+        # 3 / 2^65 = 0.0 (3 2^15) in base 2^16 then 2^64: a tie at level 0
+        # drops with no level 1, a word below keeps
+        forced = {
+            (mask, 0): 0 | 0 << 16 | 1 << 32 | 0 << 48,
+            (tie0, 0): 3 << 15, (tie0, 1): (3 << 15) - 1, (tie0, 3): 0,
+        }
+        reads = patched_words(monkeypatch, forced, point)
+        bits = sample_periodic_windows(ONE, Fraction(3, 2**65), 4, 1, seed)
+        assert bits.tolist() == [[0, 1, 0, 1]]
+        assert reads == [(mask, [0]), (tie0, [0, 1, 3])]
+        # dyadic p down to 2^-16 never reads a tie stream, ties or not
+        monkeypatch.undo()
+        for p in (Fraction(1, 4), Fraction(1, 2**16)):
+            reads = patched_words(monkeypatch, {}, point)
+            keep = sample_periodic_windows(ONE, p, 64, 2048, seed)
+            assert {key for key, _ in reads} == {mask}
+            _, replayed, ties = replay_v4((1,), p, 64, 2048, seed)
+            assert np.array_equal(keep, replayed) and ties >= 1
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
     def test_mask_draw_is_not_part_of_the_contract(self, monkeypatch, p):
         spec = ProductMeasureSpec(validate_bset([2, 3, 5]), p)
-        full = sample_product(spec, 3, 10, CHUNK + 6, seed=41).bits
+        full = sample_product(spec, 3, 10, 2000, seed=41)
         for draw in (1, 3):
-            monkeypatch.setattr(measures, "MASK_DRAW", draw)
-            assert np.array_equal(sample_product(spec, 3, 10, CHUNK + 6, seed=41).bits, full)
+            monkeypatch.setattr(measures, "DRAW", draw)
+            part = sample_product(spec, 3, 10, 2000, seed=41)
+            assert np.array_equal(part.bits, full.bits)
+            assert np.array_equal(part.omegas, full.omegas)
 
     def test_law_across_the_word_boundary(self):
         # positions 62..65 straddle row 0's first two mask words; row i
-        # starts 70 i bits into its chunk's words
+        # starts 70 i bits into the mask
         bset, half, count = validate_bset([2, 3]), Fraction(1, 2), 20000
         bits = sample_product(ProductMeasureSpec(bset, half), 0, 70, count, seed=43).bits
         for n in (62, 63, 64):
@@ -641,7 +719,7 @@ class TestSamplerContractV3:
 
     def test_generator_in_metadata(self):
         batch = sample_product(ProductMeasureSpec(validate_bset([2])), 0, 2, 1, seed=3)
-        assert GENERATOR_ID == "philox4x64-chunked-v3"
+        assert GENERATOR_ID == "splitmix64-counter-v4"
         assert json.loads(batch.metadata_json())["generator"] == GENERATOR_ID
 
 

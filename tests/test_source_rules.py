@@ -23,18 +23,23 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
-# Names that build a NumPy random generator; only the sampler core may use them.
-RNG_NAMES = {"Philox", "Generator", "default_rng"}
+# Random sources that only the sampler core may use: the modules that draw
+# random numbers (numpy.random, random, secrets), and the functions and
+# SplitMix64 constants that build the v4 counter words.
+RNG_NAMES = {"random", "secrets", "_words", "_key", "_mix64"}
+WORD_CONSTANTS = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
 
 
-def _rng_lines(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _rng_lines(source):
+    """Lines that import or name a random source, or hold a word constant."""
     lines = []
-    for node in ast.walk(tree):
-        name = getattr(node, "attr", None) or getattr(node, "id", None)
-        if isinstance(node, ast.alias):
-            name = node.name.rsplit(".", 1)[-1]
-        if name in RNG_NAMES:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+        else:
+            names = [getattr(node, "attr", None) or getattr(node, "id", None) or ""]
+        constant = isinstance(node, ast.Constant) and node.value in WORD_CONSTANTS
+        if constant or any(part in RNG_NAMES for name in names for part in name.split(".")):
             lines.append(node.lineno)
     return lines
 
@@ -43,14 +48,20 @@ def _rng_lines(path):
     "path", [p for p in SOURCES if p.name != "measures.py"], ids=lambda p: p.name
 )
 def test_random_draws_only_in_the_sampler_core(path):
-    # measures._sample is the one RNG contract; a second generator elsewhere
-    # would be a second stream with its own keys
-    lines = _rng_lines(path)
-    assert not lines, f"{path.name} builds a random generator at lines {lines}"
+    # measures._sample is the one RNG contract; a second random source
+    # elsewhere would be a second stream with its own keys
+    lines = _rng_lines(path.read_text())
+    assert not lines, f"{path.name} draws random numbers at lines {lines}"
 
 
 def test_sampler_core_is_seen_by_the_rule():
-    assert _rng_lines(Path(bfree.__file__).parent / "measures.py")
+    assert _rng_lines((Path(bfree.__file__).parent / "measures.py").read_text())
+    source = (
+        "import random\nfrom numpy.random import default_rng\nfrom numpy import random as r\n"
+        "import numpy as np\nx = np.random.Philox\nimport secrets\nG = 0x9E3779B97F4A7C15\n"
+        "from .measures import _words\ny = measures._key(1, 0, 0)\nimport randomness, numpy\n"
+    )
+    assert sorted(set(_rng_lines(source))) == [1, 2, 3, 5, 6, 7, 8, 9]
 
 
 def _strided_zero_lines(source):
@@ -251,3 +262,18 @@ def test_cli_start_up_leaves_concurrent_futures_unimported():
 
 def test_start_up_rule_sees_an_import():
     assert "concurrent.futures" in _modules_after("import concurrent.futures")
+
+
+def test_samplers_leave_numpy_random_unimported():
+    # numpy.random costs about 12 ms on first import; the v4 words are plain
+    # numpy arithmetic, so no sampler needs it
+    loaded = _modules_after(
+        "import bfree\nfrom fractions import Fraction\n"
+        "bfree.sample_product(bfree.ProductMeasureSpec(bfree.validate_bset([2, 3]), Fraction(1, 3)), 0, 8, 100, 1)\n"
+        "bfree.sample_periodic_windows(bfree.two_mme_system()[0], Fraction(1, 2), 9, 100, 1)"
+    )
+    assert "bfree.measures" in loaded and "numpy.random" not in loaded
+
+
+def test_sampler_start_up_rule_sees_numpy_random():
+    assert "numpy.random" in _modules_after("import numpy as np\nnp.random.default_rng")

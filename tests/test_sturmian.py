@@ -542,6 +542,30 @@ class TestTwoMME:
         assert mme_block_frequency(a, target, half) == _phase_loop_frequency(a, target, half)
         assert steps
 
+    def test_set_up_budget(self, monkeypatch):
+        # six zero phases times nine target bits: 54 set-up steps
+        a, _ = two_mme_system()
+        half = Fraction(1, 2)
+        monkeypatch.setattr(measures, "MAX_COVER_SETUP", 54)
+        assert mme_block_frequency(a, a.block, half) == Fraction(1, 72)
+        monkeypatch.setattr(measures, "MAX_COVER_SETUP", 53)
+
+        def no_set_up(*args, **kwargs):
+            raise AssertionError("set-up ran")
+
+        monkeypatch.setattr(measures, "_check_window", no_set_up)
+        with pytest.raises(BudgetExceeded, match="set-up of 54 steps exceeds budget 53"):
+            mme_block_frequency(a, a.block, half)
+
+    def test_long_target_within_the_set_up_budget(self):
+        # a 2000-bit target of a random period-1000 block, about 500 zero phases
+        rng = np.random.default_rng(4)
+        block = "0" + "".join(map(str, rng.integers(0, 2, 998))) + "1"
+        system = PeriodicHereditarySystem(BinaryWord.from_string(block))
+        bits = system.window(17, 2017).bits & rng.integers(0, 2, 2000).astype(np.uint8)
+        assert len(system._zeros) * 2000 <= measures.MAX_COVER_SETUP
+        assert mme_block_frequency(system, BinaryWord(bits), Fraction(1, 2)) > 0
+
     def test_sampler_matches_exact_law(self):
         a, _ = two_mme_system()
         windows = sample_periodic_windows(a, 0.5, 9, 200000, seed=5)
