@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import BinaryWord, BSet
 from .errors import BudgetExceeded, Inadmissible, StateSpaceTooLarge
 
@@ -45,6 +43,16 @@ MAX_BLOCK_LENGTH = 14_000
 # admits about 1 s of walk.
 MAX_WALK_STEPS = 1 << 20
 
+# Past d P the recurrence does d multiply-adds per length n, each an
+# alpha_t times a count of at most n bits: at most (bits(alpha_t) // 30 + 2)
+# x (n / 30 + 1) products of CPython's 30-bit digits, summed over t and n.
+# On a shared 2-vCPU Xeon, coprime sets with sum b_k <= 24 at n = 7000 and
+# 14000 gave 92 tails over 0.1 s, at 0.13-1.4 ns per digit product: every
+# tail the cap admits took at most 0.72 s, every refused one at least
+# 0.40 s.  [4,9] at n = 14000 (3.4e8 products, 0.42 s) is admitted;
+# [8,9] (1.6e9, 1.15 s) and [7,9] (1.3e9, 0.80 s) are refused.
+MAX_TAIL_DIGITS = 1 << 30
+
 # The period recurrence replaces the walk past d P where d <= factor * s
 # (see _period_recurrence).  In a sweep over 19 shapes at n = 2dP..2000,
 # every shape with d <= 4 s ran faster on it; d = 5 s ran 0.96x at n = 200.
@@ -59,8 +67,9 @@ def _hit_residues(positions, moduli: tuple[int, ...]) -> list[frozenset[int]]:
     """Residues hit by ``positions`` (a numpy array or any ints) mod each modulus.
 
     The cost follows the number of positions, never the size of a modulus.
+    An array is told by its ``ndim``, so this module never imports numpy.
     """
-    if isinstance(positions, np.ndarray) and max(moduli, default=2) < 2**63:
+    if hasattr(positions, "ndim") and max(moduli, default=2) < 2**63:
         return [frozenset((positions % b).tolist()) for b in moduli]
     positions = [int(n) for n in positions]
     return [frozenset(n % b for n in positions) for b in moduli]
@@ -106,8 +115,9 @@ def block_complexity(bset: BSet, n_max: int) -> list[int]:
 
     A sum of moduli over MAX_STATE_BITS raises StateSpaceTooLarge, then
     n_max over MAX_BLOCK_LENGTH raises BudgetExceeded, then s times the
-    walked lengths over MAX_WALK_STEPS raises BudgetExceeded, all before
-    any work.  Counts are exact big integers.
+    walked lengths over MAX_WALK_STEPS, then the recurrence's digit
+    products over MAX_TAIL_DIGITS raise BudgetExceeded, all before any
+    work.  Counts are exact big integers.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -132,6 +142,13 @@ def block_complexity(bset: BSet, n_max: int) -> list[int]:
     if per_length * walked > MAX_WALK_STEPS:
         raise BudgetExceeded(
             f"{walked} lengths of {per_length} kept positions exceed budget {MAX_WALK_STEPS}"
+        )
+    tail = sum(a.bit_length() // 30 + 2 for a in alphas) * (
+        (n_max * (n_max + 1) - walked * (walked + 1)) // 60 + n_max - walked
+    )
+    if tail > MAX_TAIL_DIGITS:
+        raise BudgetExceeded(
+            f"recurrence tail of {tail} digit products exceeds budget {MAX_TAIL_DIGITS}"
         )
     steps = [0] * walked  # steps[i] = p_{i+1} - p_i
     for kept, weight in _term_weights(rest, width).items():

@@ -95,7 +95,8 @@ def _phi(args) -> dict:
 
 
 def _admissible(args) -> dict:
-    return {"admissible": admissibility.is_admissible(_word(args), _bset(args.bset))}
+    bset = _bset(args.bset)  # a bad --bset is refused before the word loads numpy
+    return {"admissible": admissibility.is_admissible(_word(args), bset)}
 
 
 def _complexity(args) -> dict:

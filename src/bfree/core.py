@@ -2,7 +2,9 @@
 
 All types are immutable after construction and safe to share between
 threads.  Rationals are exact (:class:`fractions.Fraction`); bit sequences
-are numpy uint8 arrays marked read-only.
+are numpy uint8 arrays marked read-only.  numpy is imported only by the
+functions that build or read those arrays, so the integer types (moduli
+sets, odometer points, cylinders) load and run without it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .errors import BudgetExceeded, EmptyWord, LengthMismatch, ModulusTooSmall, NotCoprime, NotSorted
 
@@ -160,6 +160,7 @@ class BinaryWord:
     __slots__ = ("offset", "bits")
 
     def __init__(self, bits, offset: int = 0):
+        import numpy as np
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
@@ -185,6 +186,7 @@ class BinaryWord:
 
     @classmethod
     def from_string(cls, text: str, offset: int = 0) -> "BinaryWord":
+        import numpy as np
         return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"), offset)
 
     @classmethod
@@ -192,6 +194,7 @@ class BinaryWord:
         """Word over [lo, hi) with ones exactly at the given coordinates."""
         if hi <= lo:
             raise ValueError("empty window")
+        import numpy as np
         bits = np.zeros(hi - lo, dtype=np.uint8)
         for n in support:
             if not lo <= n < hi:
@@ -205,6 +208,7 @@ class BinaryWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryWord):
             return NotImplemented
+        import numpy as np
         return self.offset == other.offset and np.array_equal(self.bits, other.bits)
 
     def __hash__(self):
@@ -219,10 +223,11 @@ class BinaryWord:
     @property
     def support(self) -> np.ndarray:
         """Absolute coordinates of the ones, ascending."""
-        return np.flatnonzero(self.bits) + self.offset
+        return self.bits.nonzero()[0] + self.offset
 
     @property
     def ones(self) -> int:
+        import numpy as np
         return int(np.count_nonzero(self.bits))
 
     def shifted(self, t: int) -> "BinaryWord":
@@ -236,7 +241,7 @@ class BinaryWord:
                 f"words not aligned: offsets {self.offset}/{other.offset}, "
                 f"lengths {len(self)}/{len(other)}"
             )
-        return bool(np.all(self.bits <= other.bits))
+        return bool((self.bits <= other.bits).all())
 
     def density(self) -> Fraction:
         if not len(self):
@@ -253,10 +258,12 @@ class BinaryWord:
 
     def pack(self) -> bytes:
         """Bit-packed dump, little-endian bit order within bytes."""
+        import numpy as np
         return np.packbits(self.bits, bitorder="little").tobytes()
 
     @classmethod
     def unpack(cls, data: bytes, length: int, offset: int = 0) -> "BinaryWord":
+        import numpy as np
         bits = np.unpackbits(
             np.frombuffer(data, dtype=np.uint8), count=length, bitorder="little"
         )

@@ -59,9 +59,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable
 
-import numpy as np
-from numpy.lib.stride_tricks import as_strided
-
 from .core import BinaryWord, BSet, CylinderSpec
 from .errors import BudgetExceeded, EmptySupport, LengthMismatch, TooManyZeros
 from .sieve import SAProfile, _check_window, _sieve
@@ -143,9 +140,7 @@ def _cylinder(moduli, classes, spec: CylinderSpec, p: Fraction) -> Fraction:
     raises BudgetExceeded before it runs.
     """
     ones, zeros = spec.ones, sorted(spec.zeros)
-    setup = sum(map(len, classes)) * (len(ones) + len(zeros))
-    if setup > MAX_COVER_SETUP:
-        raise BudgetExceeded(f"cylinder set-up of {setup} steps exceeds budget {MAX_COVER_SETUP}")
+    _check_set_up(classes, len(ones) + len(zeros))
     full = (1 << len(zeros)) - 1
     groups = []  # per modulus: the 0 indices each striking coordinate strikes, the idle count
     for b, ak in zip(moduli, classes):
@@ -208,6 +203,14 @@ def _cylinder(moduli, classes, spec: CylinderSpec, p: Fraction) -> Fraction:
         for s, count in states.items()
     )
     return Fraction(u ** len(ones) * total, v ** (len(ones) + len(zeros)) * math.prod(moduli))
+
+
+def _check_set_up(classes, positions: int) -> None:
+    """Refuse a :func:`_cylinder` set-up over MAX_COVER_SETUP steps, one per
+    class and cylinder position, before anything is built."""
+    setup = sum(map(len, classes)) * positions
+    if setup > MAX_COVER_SETUP:
+        raise BudgetExceeded(f"cylinder set-up of {setup} steps exceeds budget {MAX_COVER_SETUP}")
 
 
 def _cover_step(states: dict[int, int], masks: list[int], idle: int, needed: int) -> dict[int, int]:
@@ -282,6 +285,7 @@ def _key(seed: int, family: int, level: int) -> int:
 
 def _words(key: int, index: np.ndarray) -> np.ndarray:
     """Words ``index`` (uint64) of the stream ``key``, mix64(key + (i + 1) gamma)."""
+    import numpy as np
     z = index + np.uint64(1)
     z *= np.uint64(_GAMMA)
     z += np.uint64(key)
@@ -298,6 +302,7 @@ def _words(key: int, index: np.ndarray) -> np.ndarray:
 
 def _uniform(seed: int, family: int, m: int, count: int) -> np.ndarray:
     """int64 coordinates mod m of samples 0..count-1, points family ``family``."""
+    import numpy as np
     out = np.empty(count, dtype=np.int64)
     excess = (1 << 64) % m  # the top ``excess`` words are rejected
     top = np.uint64(_MAX64 - excess)
@@ -330,6 +335,7 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     budget.  With fewer rows than points, or moduli that are not
     coprime, every row is sieved.
     """
+    import numpy as np
     if count < 0:
         raise ValueError("count must be >= 0")
     if not 0 <= seed < 1 << 64:
@@ -344,6 +350,7 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     omegas.setflags(write=False)
     period = math.prod(draw_moduli)
     if period <= count and math.lcm(*draw_moduli) == period:
+        from numpy.lib.stride_tricks import as_strided
         line = _sieve(lo, hi + period - 1, moduli, classes, np.zeros((1, len(moduli)), np.int64))[0]
         # t_i by CRT in int64: the sum is below sum_k m_k * P <= P^2, and
         # P <= count <= 2^30 by the budget, so one reduction at the end
@@ -374,6 +381,7 @@ def _mask(seed: int, p: Fraction, bits: np.ndarray) -> None:
     the uniform real 0.D_j U_0 U_1... (the digit, then tie words) is
     < p, so exactly with probability p.
     """
+    import numpy as np
     n, key = len(bits), _key(seed, 0, 0)
     if p == Fraction(1, 2):
         for start in range(0, n, 64 * DRAW):
@@ -497,6 +505,7 @@ def embed(u: BinaryWord, z: BinaryWord) -> BinaryWord:
         raise LengthMismatch(
             f"u has {len(u)} bits but z has {support.size} support positions"
         )
+    import numpy as np
     bits = np.zeros(len(z), dtype=np.uint8)
     bits[support - z.offset] = u.bits
     return BinaryWord(bits, z.offset)
@@ -508,6 +517,7 @@ def _block_codes(block: np.ndarray, n: int) -> np.ndarray:
     Entry (r, s) reads ``block[r, s : s + n]`` as a binary number, first
     bit most significant: int64 below 63 bits, Python ints from there.
     """
+    import numpy as np
     starts = block.shape[1] - n + 1
     bits = block.astype(np.int64 if n < 63 else object)
     code = np.zeros((len(block), starts), dtype=bits.dtype)
@@ -524,6 +534,7 @@ def _distinct_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     object codes alike, without the ``numpy.ma`` import that ``np.unique``
     costs on first use.
     """
+    import numpy as np
     flat = np.sort(codes, axis=None)
     first = np.ones(flat.size, dtype=bool)
     first[1:] = flat[1:] != flat[:-1]

@@ -26,12 +26,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .admissibility import _hit_residues, minimal_translation_period
 from .core import BinaryWord, BSet, OdometerPoint
@@ -93,6 +90,7 @@ def _plan_strikes(lo: int, moduli, classes, omegas: np.ndarray) -> list:
     """
     if not len(omegas):
         return []
+    import numpy as np
     plan = []
     for k, (b, ak) in enumerate(zip(moduli, classes)):
         col = omegas[:, k]
@@ -127,6 +125,7 @@ def _sieve(lo: int, hi: int, moduli, classes, omegas: np.ndarray) -> np.ndarray:
     segment of the window is tiled from it and then struck by the plan of
     the remaining moduli.
     """
+    import numpy as np
     rows, length = len(omegas), hi - lo
     _check_window(lo, hi, rows)
     cap, period, w = min(_WHEEL_MAX, length // _WHEEL_REPEATS), 1, 0
@@ -154,6 +153,7 @@ def _sieve(lo: int, hi: int, moduli, classes, omegas: np.ndarray) -> np.ndarray:
     if workers == 1:
         _fill(block, wheel, plan, width, 0, 1)
         return block
+    import threading  # loaded only by a process that splits a window
     failures, helpers = [], []
 
     def helper(i):
@@ -205,6 +205,7 @@ def _fill(block: np.ndarray, wheel, plan, width: int, i: int, workers: int) -> N
 
 def _coding(moduli, classes, residues, lo: int, hi: int) -> BinaryWord:
     # The one-row case of the sieve; object dtype keeps coordinates of any size.
+    import numpy as np
     block = _sieve(lo, hi, moduli, classes, np.array([residues], dtype=object))
     block.setflags(write=False)
     return BinaryWord._views(block, [int(lo)])[0]

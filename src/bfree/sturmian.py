@@ -29,8 +29,6 @@ from fractions import Fraction
 from itertools import accumulate, product
 from typing import Callable, Iterable
 
-import numpy as np
-
 from . import admissibility, sieve
 from .core import BinaryWord, CylinderSpec
 from .errors import (
@@ -40,7 +38,7 @@ from .errors import (
     PreconditionUnmet,
     StateSpaceTooLarge,
 )
-from .measures import _cylinder, _sample
+from .measures import _check_set_up, _cylinder, _sample
 
 __all__ = [
     "RotationCoding",
@@ -191,6 +189,7 @@ def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
     scan's.  Raises :class:`WindowTooLarge` before any allocation when
     the window exceeds ``sieve.MAX_WINDOW_BITS``.
     """
+    import numpy as np
     sieve._check_window(lo, hi)
     # endpoint positions as exact fractions of the circle, cross-multiplied
     ends = [(f.numerator * _MOD, f.denominator) for f in coding.interval]
@@ -365,13 +364,16 @@ def mme_block_frequency(
     The measure is uniform phase times an independent Bernoulli(p) keep
     mask on the ones: the cylinder of the target's bits under the coverage
     DP of :mod:`bfree.measures`, with modulus c and the block's zero
-    phases as classes.  Any target length is exact; the DP's state budget
-    (``measures.MAX_COVER_STATES``) and the window gate bound the work.
+    phases as classes.  Any target length is exact; the window gate, the
+    set-up budget (``measures.MAX_COVER_SETUP``, checked before the
+    per-position cylinder is built) and the DP's state budget
+    (``measures.MAX_COVER_STATES``) bound the work.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     sieve._check_window(0, len(target))
+    _check_set_up((system._zeros,), len(target))
     spec = CylinderSpec(dict(enumerate(target.bits.tolist())))
     return _cylinder((len(system.block),), (system._zeros,), spec, p)
 
@@ -410,7 +412,7 @@ def transitive_closure_point(
     :class:`BudgetExceeded` when ``MAX_STAGES`` stages fall short of it.
     """
     if length == 0:
-        return BinaryWord(np.zeros(0, dtype=np.uint8))
+        return BinaryWord([])
     sieve._check_window(0, length)
     if h_bits <= 0:
         raise ValueError("h_bits must be positive")
@@ -465,6 +467,7 @@ def minimal_subset_variant(
         raise ValueError("primes must be strictly increasing")
     if primes and primes[0] < 2:
         raise ValueError("primes must be >= 2")
+    import numpy as np
     word = system.window(lo, hi)
     c = len(system.block)
     first, last = lo // c, (hi - 1) // c

@@ -2,16 +2,18 @@
 
 import math
 from itertools import product
+from typing import Mapping
 
 from bfree.admissibility import _hit_residues
 from bfree.core import BSet
 
 
-def block_complexity_dp(bset: BSet, n_max: int) -> list[int]:
+def block_complexity_dp(bset: BSet, n_max: int, forced: Mapping[int, int] = {}) -> list[int]:
     """Counts p_1..p_{n_max} by dynamic programming over hit residues.
 
     The class of a prefix is its hit residues per modulus, packed into one
-    int (position residues are implicit in the step index).
+    int (position residues are implicit in the step index).  ``forced``
+    maps positions to the one bit every counted word carries there.
     """
     mods = bset.moduli
     # Bit offsets[k] + r of a state is set iff the prefix has a 1 at a position
@@ -28,10 +30,11 @@ def block_complexity_dp(bset: BSet, n_max: int) -> list[int]:
     counts: list[int] = []
     for i in range(n_max):
         step = steps[i % len(steps)]
+        bit = forced.get(i)
         # bit 0 at position i: state unchanged
-        nxt = states.copy()
-        for state, c in states.items():
-            # bit 1 at position i: insert i mod b_k everywhere
+        nxt = {} if bit == 1 else states.copy()
+        # bit 1 at position i: insert i mod b_k everywhere
+        for state, c in states.items() if bit != 0 else ():
             grown = state | step
             if not (grown + low) & spare:
                 nxt[grown] = nxt.get(grown, 0) + c

@@ -16,11 +16,12 @@ from bfree.admissibility import (
     entropy_from_complexity,
     spectrum_profile,
 )
-from bfree.core import BinaryWord, OdometerPoint, crt_free_count, validate_bset
+from bfree.core import BinaryWord, CylinderSpec, OdometerPoint, crt_free_count, validate_bset
 from bfree.entropy import h_product_type, htop_bfree
 from bfree.inclusion import construct_admissible, includes, word_level_includes
 from bfree.measures import (
     ProductMeasureSpec,
+    _cylinder,
     embed,
     mirsky_cylinder,
     sample_mirsky,
@@ -37,7 +38,7 @@ from bfree.sturmian import (
     sample_periodic_windows,
     two_mme_system,
 )
-from count_oracle import closed_form_count
+from count_oracle import block_complexity_dp, closed_form_count
 from sieve_oracle import crt_free_count_sieve
 
 
@@ -236,3 +237,29 @@ def test_criterion_11_squeeze_embed_round_trip():
             ok = False
             break
     _report(11, ok, "10^4 random (u, z) pairs round-trip and stay dominated")
+
+
+def test_criterion_12_intrinsic_ergodicity():
+    # The unique measure of maximal entropy is the Mirsky measure masked by
+    # Bernoulli(1/2), whose cylinders _cylinder gives at p = 1/2.  Counted
+    # independently, the share of admissible words of length N = qP that
+    # show w in the middle tends to that value as q grows.
+    cases = [
+        ([2, 3], "1", (12, 24, 48, 96), Fraction(1, 6), 2e-6),
+        ([4, 9], "11", (72, 144, 288), Fraction(7, 72), 1e-8),
+        ([2, 9], "111", (18, 36, 72), Fraction(0), 0),  # 111 covers Z/2
+    ]
+    ok, details = True, []
+    for moduli, w, lengths, value, bound in cases:
+        bset = validate_bset(moduli)
+        spec = CylinderSpec({i: int(bit) for i, bit in enumerate(w)})
+        mme = _cylinder(bset.moduli, [(0,)] * len(bset), spec, Fraction(1, 2))
+        errors = []
+        for N in lengths:
+            at = (N - len(w)) // 2
+            shown = block_complexity_dp(bset, N, {at + i: int(bit) for i, bit in enumerate(w)})[-1]
+            errors.append(abs(Fraction(shown, block_complexity(bset, N)[-1]) - mme))
+        falls = all(a > b for a, b in zip(errors, errors[1:])) if value else not any(errors)
+        ok = ok and mme == value and falls and errors[-1] <= bound
+        details.append(f"{moduli} w={w}: {float(errors[0]):.1e} -> {float(errors[-1]):.1e}")
+    _report(12, ok, "share showing w vs MME cylinder, " + "; ".join(details))

@@ -314,6 +314,40 @@ class TestWalkBudget:
         assert MAX_WALK_STEPS // 1023 == 1025
 
 
+class TestTailBudget:
+    # tests/test_hostile.py runs [8, 9] at n = 14000 under a memory limit
+    @pytest.mark.parametrize("moduli, n", [((2, 3), 999), ((3, 5), 3000), ((2, 3, 5), 400)])
+    def test_refused_before_the_walk(self, monkeypatch, moduli, n):
+        # (digits of alpha_t + 1) summed over t, times n / 30 + 1 digits per
+        # count summed over the recurrence's lengths
+        bset = validate_bset(moduli)
+        *rest, last = moduli
+        s = math.prod(2 ** (b - 1) - 1 for b in rest)
+        alphas = admissibility._period_recurrence(bset.moduli, bset.period, n, s)
+        walked = len(alphas) * bset.period
+        assert alphas and walked < n
+        digits = sum(a.bit_length() // 30 + 2 for a in alphas)
+        tail = digits * (sum(range(walked + 1, n + 1)) // 30 + n - walked)
+        monkeypatch.setattr(admissibility, "MAX_TAIL_DIGITS", tail)
+        assert block_complexity(bset, n) == block_complexity_dp(bset, n)
+
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(admissibility, "_term_weights", no_work)
+        monkeypatch.setattr(admissibility, "MAX_TAIL_DIGITS", tail - 1)
+        with pytest.raises(BudgetExceeded, match=f"recurrence tail of {tail} digit products"):
+            block_complexity(bset, n)
+
+    def test_longest_tails(self):
+        # [4, 9] is counted to the length budget; [8, 9], [7, 9] and [4, 5, 7]
+        # are refused there, before their 0.8-1.2 s tails
+        assert len(block_complexity(validate_bset([4, 9]), MAX_BLOCK_LENGTH)) == MAX_BLOCK_LENGTH
+        for moduli in ([8, 9], [7, 9], [4, 5, 7]):
+            with pytest.raises(BudgetExceeded, match="recurrence tail"):
+                block_complexity(validate_bset(moduli), MAX_BLOCK_LENGTH)
+
+
 class TestEntropyFromComplexity:
     def test_values(self):
         h = entropy_from_complexity([2, 3, 5])

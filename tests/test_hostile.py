@@ -46,9 +46,15 @@ def raised(result) -> str:
         "core.squarefree_family(10**7)",
         # 8151 walked lengths of 1023 kept positions, tens of seconds of walk
         "admissibility.block_complexity(core.validate_bset([11, 13]), 14000)",
+        # 11 840 recurrence lengths of 30 multiply-adds with alphas of up to 617 bits
+        "admissibility.block_complexity(core.validate_bset([8, 9]), 14000)",
         # 9999 zero phases times 10^5 target bits: about 10^9 set-up steps
         "sturmian.mme_block_frequency(sturmian.PeriodicHereditarySystem(core.BinaryWord.from_string("
         "'0' * 9999 + '1')), core.BinaryWord.from_string('0' * 10**5), 1)",
+        # one zero phase times 2^25 target bits: a per-position cylinder of
+        # 2^25 entries would not fit the limit
+        "sturmian.mme_block_frequency(sturmian.PeriodicHereditarySystem(core.BinaryWord.from_string('10')), "
+        "core.BinaryWord.from_string('0' * 2**25), 1)",
     ],
 )
 def test_library_call_refused(call):

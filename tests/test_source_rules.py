@@ -255,13 +255,60 @@ def _modules_after(statement):
 
 def test_cli_start_up_leaves_concurrent_futures_unimported():
     # concurrent.futures adds about 2.5 ms to every cold bfree process; the
-    # sieve's threads come from threading, which numpy has already loaded
+    # sieve's threads come from threading, which it imports only when it
+    # splits a window
     loaded = _modules_after("import bfree.cli")
     assert "bfree.sieve" in loaded and "concurrent.futures" not in loaded
 
 
 def test_start_up_rule_sees_an_import():
     assert "concurrent.futures" in _modules_after("import concurrent.futures")
+
+
+# Subcommands that compute with Python ints only, with their exit codes:
+# results, domain errors (exit 1) and usage errors (exit 2).
+NUMPY_FREE_COMMANDS = [
+    (["complexity", "--bset", "2,5", "--n", "14"], 0),
+    (["entropy", "--formula", "bfree", "--bset", "4,9,25"], 0),
+    (["entropy", "--formula", "product", "--bset", "2,3", "--p", "1/3"], 0),
+    (["entropy", "--formula", "generalized", "--bset", "4,9", "--s", "2,3", "--a", "0,2;0,3,6"], 0),
+    (["mirsky", "--bset", "4,9", "--ones", "0,2", "--zeros", "1,3,5"], 0),
+    (["include", "--bset", "4,9", "--other", "20,63"], 0),
+    (["construct-admissible", "--small", "2,3", "--bprime", "7"], 0),
+    (["admissible", "--bset", "4,6", "--word", "1"], 1),  # NotCoprime
+    (["complexity", "--bset", "4,9,25", "--n", "5"], 1),  # StateSpaceTooLarge
+    (["frobnicate"], 2),
+    (["eta", "--bset", "2,3"], 2),
+    (["eta", "--bset", "2,3", "--window", "7"], 2),
+]
+
+
+def _modules_after_cli(commands):
+    """``sys.modules`` after one fresh interpreter runs each command through
+    ``bfree.cli.main``; the child fails unless every exit code matches."""
+    return _modules_after(
+        "import contextlib, io\nimport bfree.cli\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            return bfree.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            return exc.code\n"
+        f"codes = [run(argv) for argv, _ in {commands!r}]\n"
+        f"if codes != {[code for _, code in commands]!r}:\n"
+        "    raise SystemExit(f'exit codes {codes}')"
+    )
+
+
+def test_integer_subcommands_leave_numpy_unimported():
+    # numpy is most of a cold bfree process's import time; these commands
+    # compute with Python ints, so neither they nor the CLI's import load it
+    loaded = _modules_after_cli(NUMPY_FREE_COMMANDS)
+    assert "bfree.cli" in loaded and "numpy" not in loaded
+
+
+def test_numpy_rule_sees_a_window():
+    assert "numpy" in _modules_after_cli([(["eta", "--bset", "2,3", "--window", "0:6"], 0)])
 
 
 def test_samplers_leave_numpy_random_unimported():

@@ -108,7 +108,7 @@ class TestRotationCoding:
         # read at call time, and refused before the bits are allocated
         monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 100)
         assert len(sturmian_window(GOLDEN, 10**20, 10**20 + 100)) == 100
-        monkeypatch.setattr("bfree.sturmian.np.empty", None)
+        monkeypatch.setattr("numpy.empty", None)
         with pytest.raises(WindowTooLarge):
             sturmian_window(GOLDEN, -50, 51)
 
@@ -446,8 +446,8 @@ class TestPeriodicHereditarySystem:
         monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 100)
         assert len(system.window(10**20, 10**20 + 100)) == 100
         # refused before the sieve allocates its block
-        monkeypatch.setattr("bfree.sieve.np.ones", None)
-        monkeypatch.setattr("bfree.sieve.np.empty", None)
+        monkeypatch.setattr("numpy.ones", None)
+        monkeypatch.setattr("numpy.empty", None)
         with pytest.raises(WindowTooLarge):
             system.window(-50, 51)
 
@@ -554,6 +554,8 @@ class TestTwoMME:
             raise AssertionError("set-up ran")
 
         monkeypatch.setattr(measures, "_check_window", no_set_up)
+        # refused before the per-position cylinder is built, too
+        monkeypatch.setattr(sturmian, "CylinderSpec", no_set_up)
         with pytest.raises(BudgetExceeded, match="set-up of 54 steps exceeds budget 53"):
             mme_block_frequency(a, a.block, half)
 
