@@ -222,8 +222,13 @@ class BinaryWord:
 
     @property
     def support(self) -> np.ndarray:
-        """Absolute coordinates of the ones, ascending."""
-        return self.bits.nonzero()[0] + self.offset
+        """Absolute coordinates of the ones, ascending: int64 while every
+        coordinate of the word fits one, exact Python ints (object dtype)
+        otherwise."""
+        index = self.bits.nonzero()[0]
+        if -(1 << 63) <= self.offset <= (1 << 63) - len(self.bits):
+            return index + self.offset
+        return index.astype(object) + self.offset
 
     @property
     def ones(self) -> int:

@@ -301,11 +301,18 @@ def _words(key: int, index: np.ndarray) -> np.ndarray:
 
 
 def _uniform(seed: int, family: int, m: int, count: int) -> np.ndarray:
-    """int64 coordinates mod m of samples 0..count-1, points family ``family``."""
+    """int64 coordinates mod m of samples 0..count-1, points family ``family``.
+
+    Each accepted word w gives w - (w // m) m, the exact floor-division
+    remainder w mod m, built in the output slice itself, so contract v4
+    is unchanged.  numpy's ``//`` by a scalar runs through libdivide and
+    its ``%`` does not, so this form is several times faster (remainder
+    from the quotient: Lemire, Kaser and Kurz, 2019).
+    """
     import numpy as np
     out = np.empty(count, dtype=np.int64)
     excess = (1 << 64) % m  # the top ``excess`` words are rejected
-    top = np.uint64(_MAX64 - excess)
+    top, modulus = np.uint64(_MAX64 - excess), np.uint64(m)
     for start in range(0, count, DRAW):
         index = np.arange(start, min(count, start + DRAW), dtype=np.uint64)
         words = _words(_key(seed, family, 0), index)
@@ -314,7 +321,11 @@ def _uniform(seed: int, family: int, m: int, count: int) -> np.ndarray:
             attempt += 1
             words[redo] = _words(_key(seed, family, attempt), index[redo])
             redo = redo[words[redo] > top]
-        out[start : start + len(index)] = words % np.uint64(m)
+        # m < 2^63, so every remainder fits the int64 slot it is built in
+        rem = out[start : start + len(index)].view(np.uint64)
+        np.floor_divide(words, modulus, out=rem)
+        rem *= modulus
+        np.subtract(words, rem, out=rem)
     return out
 
 
@@ -334,6 +345,11 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     line, and P + L - 1 <= count * L, so the line is within the block's
     budget.  With fewer rows than points, or moduli that are not
     coprime, every row is sieved.
+
+    Both reductions, each coordinate mod m_k in :func:`_uniform` and
+    each CRT sum mod P here, are exact floor-division remainders
+    x - (x // m) m of nonnegative ints, so every bit of contract v4 is
+    unchanged.
     """
     import numpy as np
     if count < 0:
@@ -353,12 +369,16 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
         from numpy.lib.stride_tricks import as_strided
         line = _sieve(lo, hi + period - 1, moduli, classes, np.zeros((1, len(moduli)), np.int64))[0]
         # t_i by CRT in int64: the sum is below sum_k m_k * P <= P^2, and
-        # P <= count <= 2^30 by the budget, so one reduction at the end
-        phases = np.zeros(count, dtype=np.int64)
+        # P <= count <= 2^30 by the budget, so one reduction at the end, the
+        # floor-division remainder of the nonnegative sum, with one scratch
+        # buffer for the terms and the quotient
+        phases, term = np.zeros(count, dtype=np.int64), np.empty(count, dtype=np.int64)
         for k, m in enumerate(draw_moduli):
             q = period // m
-            phases += omegas[:, k] * (q * pow(q, -1, m) % period)
-        phases %= period
+            phases += np.multiply(omegas[:, k], q * pow(q, -1, m) % period, out=term)
+        np.floor_divide(phases, period, out=term)
+        term *= period
+        phases -= term
         # row t of the (P, L) view is line[t : t + L]; with each row one void
         # item, fancy indexing copies only the rows asked for, one item each
         # (np.take would copy the whole view first)
@@ -486,12 +506,12 @@ def squeeze(x: BinaryWord, z: BinaryWord) -> BinaryWord:
     """
     if x.offset != z.offset or len(x) != len(z):
         raise LengthMismatch("squeeze requires aligned words")
-    support = z.support
-    if support.size == 0:
+    index = z.bits.nonzero()[0]
+    if index.size == 0:
         raise EmptySupport("z has empty support")
-    values = x.bits[support - z.offset]
-    negatives = int((support < 0).sum())
-    return BinaryWord(values, -negatives)
+    # the ones of z left of coordinate 0 are those in its first -offset bits
+    negatives = int(z.bits[: max(0, -z.offset)].sum())
+    return BinaryWord(x.bits[index], -negatives)
 
 
 def embed(u: BinaryWord, z: BinaryWord) -> BinaryWord:
@@ -500,37 +520,43 @@ def embed(u: BinaryWord, z: BinaryWord) -> BinaryWord:
     Inverse of :func:`squeeze` on the support: the result w satisfies
     w <= z and squeeze(w, z) has u's bits.
     """
-    support = z.support
-    if len(u) != support.size:
+    index = z.bits.nonzero()[0]
+    if len(u) != index.size:
         raise LengthMismatch(
-            f"u has {len(u)} bits but z has {support.size} support positions"
+            f"u has {len(u)} bits but z has {index.size} support positions"
         )
     import numpy as np
     bits = np.zeros(len(z), dtype=np.uint8)
-    bits[support - z.offset] = u.bits
+    bits[index] = u.bits
     return BinaryWord(bits, z.offset)
 
 
 def _block_codes(block: np.ndarray, n: int) -> np.ndarray:
-    """Integer code of every n-window of each row of a (rows, L) bit block.
+    """Integer code of every n-window inside a row of a (rows, L) bit block.
 
     Entry (r, s) reads ``block[r, s : s + n]`` as a binary number, first
-    bit most significant: int64 below 63 bits, Python ints from there.
+    bit most significant, in the narrowest unsigned dtype that holds n
+    bits, Python ints from 63 bits.  The row-major block is coded as one
+    line, n 1-D passes over it, and the (rows, L - n + 1) view returned
+    drops the windows that cross a row end.
     """
     import numpy as np
-    starts = block.shape[1] - n + 1
-    bits = block.astype(np.int64 if n < 63 else object)
-    code = np.zeros((len(block), starts), dtype=bits.dtype)
-    for j in range(n):
-        code <<= 1
-        code |= bits[:, j : j + starts]
-    return code
+    rows, length = block.shape
+    line = block.reshape(-1)
+    starts = line.size - n + 1
+    code = np.empty(line.size, np.min_scalar_type((1 << n) - 1) if n < 63 else object)
+    head = code[:starts]
+    head[...] = line[:starts]
+    for j in range(1, n):
+        head += head  # doubling: numpy vectorizes add, not a left shift of uint8
+        head |= line[j : j + starts]
+    return code.reshape(rows, length)[:, : length - n + 1]
 
 
 def _distinct_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values of ``codes`` and how often each occurs.
 
-    ``np.unique(codes, return_counts=True)`` by one sort, for int64 and
+    ``np.unique(codes, return_counts=True)`` by one sort, for unsigned and
     object codes alike, without the ``numpy.ma`` import that ``np.unique``
     costs on first use.
     """
@@ -544,13 +570,24 @@ def _distinct_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def empirical_block_distribution(batch: SampleBatch, n: int) -> dict[str, float]:
     """Frequencies of all n-blocks across every row and position, keys in
-    ascending binary order."""
+    ascending binary order.
+
+    The windows inside each row are counted: by ``np.bincount`` when the
+    2^n possible blocks are at most the windows, else by one sort.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not len(batch.bits):
         return {}
     if n > batch.bits.shape[1]:
         raise ValueError("n exceeds the window length")
-    codes, counts = _distinct_counts(_block_codes(batch.bits, n))
-    total = counts.sum().item()
+    import numpy as np
+    codes = _block_codes(batch.bits, n)
+    total = codes.size
+    if total >= 1 << n:
+        counts = np.bincount(codes.astype(np.intp).reshape(-1), minlength=1 << n)
+        codes = np.flatnonzero(counts)
+        counts = counts[codes]
+    else:
+        codes, counts = _distinct_counts(codes)
     return {format(code, f"0{n}b"): c / total for code, c in zip(codes.tolist(), counts.tolist())}

@@ -84,6 +84,17 @@ class TestGoldenOutputs:
         _, out, _ = run(capsys, "theta", "--bset", "2,3", "--word", "101")
         assert json.loads(out)["theta"] == [{"unique": 1}, {"unique": 2}]
 
+    def test_theta_past_int64(self, capsys):
+        # both ones are 0 mod 3 and sit at 2^63 - 5 and 2^63 + 4, past int64
+        _, out, _ = run(capsys, "theta", "--bset", "3", "--word", "1000000001",
+                        "--offset", str(2**63 - 5))
+        assert json.loads(out)["theta"] == [{"ambiguous": [1, 2]}]
+
+    def test_admissible_far_offset(self, capsys):
+        code, out, _ = run(capsys, "admissible", "--bset", "2,3", "--word", "101",
+                           "--offset", str(10**23))
+        assert code == 0 and json.loads(out)["admissible"] is True
+
     def test_include(self, capsys):
         _, out, _ = run(capsys, "include", "--bset", "2,3", "--other", "5")
         obj = json.loads(out)

@@ -155,6 +155,11 @@ class TestBinaryWord:
         w = BinaryWord.from_string("0101", 10)
         assert list(w.support) == [11, 13]
 
+    @pytest.mark.parametrize("offset", [2**63 - 5, 2**63 - 4, -(2**63), -(2**63) - 1, 2**70, -(10**20)])
+    def test_support_past_int64_is_exact(self, offset):
+        w = BinaryWord.from_string("1000000001", offset)
+        assert w.support.tolist() == [offset, offset + 9]
+
     @given(st.text(alphabet="01", min_size=1, max_size=40), st.integers(-50, 50))
     def test_shift_moves_support_exactly(self, text, t):
         w = BinaryWord.from_string(text)

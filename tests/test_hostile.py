@@ -81,3 +81,64 @@ def test_limit_acts_on_the_child():
     result = run_limited(["-c", "[0] * 10**9"])
     assert result.returncode == 1 and raised(result) == "MemoryError", result.stderr[-2000:]
     assert resource.getrlimit(resource.RLIMIT_AS)[0] != ADDRESS_SPACE
+
+
+# Offsets at and past the int64 range, and a word that straddles 2^63.
+FAR_OFFSETS = [2**63, -(2**63), 10**20, -(10**20), 2**63 - 5]
+FAR_MODULI, FAR_OMEGA, FAR_WORDS, FAR_LENGTH = (4, 9), (1, 5), ("1100000001", "1111"), 12
+
+FAR_CHILD = """
+import json, sys
+from bfree import admissibility as A, core, sieve
+from bfree.errors import BFreeError
+offset = int(sys.argv[1])
+bset = core.validate_bset({moduli})
+calls = {{"eta_window": lambda: sieve.eta_window(bset, offset, offset + {length}).to_json(),
+          "phi_window": lambda: sieve.phi_window(core.OdometerPoint(bset, {omega}), offset, offset + {length}).to_json()}}
+for text in {words}:
+    word = core.BinaryWord.from_string(text, offset)
+    calls[f"theta_window {{text}}"] = lambda w=word: [None if c is None else sorted(c) for c in A.theta_window(w, bset)]
+    calls[f"spectrum_profile {{text}}"] = lambda w=word: A.spectrum_profile(w, bset).to_json()
+    calls[f"is_admissible {{text}}"] = lambda w=word: A.is_admissible(w, bset)
+out = {{}}
+for name, call in calls.items():
+    try:
+        out[name] = call()
+    except BFreeError as err:
+        out[name] = {{"error": type(err).__name__}}
+print(json.dumps(out))
+""".format(moduli=FAR_MODULI, omega=FAR_OMEGA, words=FAR_WORDS, length=FAR_LENGTH)
+
+
+def far_expected(offset):
+    """The five calls of FAR_CHILD at ``offset``, by residues of Python ints."""
+
+    def window(bit):
+        bits = "".join("1" if bit(n) else "0" for n in range(offset, offset + FAR_LENGTH))
+        return json.dumps({"offset": offset, "bits": bits})
+
+    out = {
+        "eta_window": window(lambda n: all(n % b for b in FAR_MODULI)),
+        "phi_window": window(lambda n: all((r + n) % b for r, b in zip(FAR_OMEGA, FAR_MODULI))),
+    }
+    for text in FAR_WORDS:
+        hits = [{(offset + i) % b for i, c in enumerate(text) if c == "1"} for b in FAR_MODULI]
+        missing = [sorted(set(range(b)) - h) for h, b in zip(hits, FAR_MODULI)]
+        out[f"theta_window {text}"] = [sorted((-a) % b for a in m) or None for m, b in zip(missing, FAR_MODULI)]
+        out[f"is_admissible {text}"] = all(missing)
+        out[f"spectrum_profile {text}"] = json.dumps([
+            {"b": b, "s": len(m), "missing": m,
+             "b_prime": min(j for j in range(1, b + 1) if b % j == 0 and {(r + j) % b for r in h} == h)}
+            for h, m, b in zip(hits, missing, FAR_MODULI)
+        ]) if all(missing) else {"error": "Inadmissible"}
+    return out
+
+
+@pytest.mark.parametrize("offset", FAR_OFFSETS)
+def test_far_offsets_are_exact(offset):
+    result = run_limited(["-c", FAR_CHILD, str(offset)])
+    assert result.returncode == 0, result.stderr[-2000:]
+    got = json.loads(result.stdout)
+    for name, value in far_expected(offset).items():
+        # an exact value, or a domain error
+        assert got[name] == value or isinstance(got[name], dict) and "error" in got[name], (name, got[name], value)

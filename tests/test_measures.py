@@ -621,6 +621,27 @@ class TestSamplerContractV3:
                 assert np.array_equal(mirsky.bits[i], coding.bits)
             assert np.array_equal(batch.bits, mirsky.bits & keep)
 
+    @pytest.mark.parametrize(
+        "moduli, p, count",
+        [
+            # DRAW + 300 rows, each sieved on its own: the remainders of
+            # the points cross a chunk boundary
+            ((2, 10**10 + 19), Fraction(1, 3), measures.DRAW + 300),
+            # one line of period P = count = 15015, rows cut from it at
+            # CRT phases whose sums reach sum_k m_k P
+            ((3, 5, 7, 11, 13), Fraction(1, 2), 3 * 5 * 7 * 11 * 13),
+        ],
+    )
+    def test_stream_layout_of_long_batches(self, moduli, p, count):
+        lo, hi, seed = 10**6, 10**6 + 3, 2024
+        batch = sample_product(ProductMeasureSpec(validate_bset(moduli), p), lo, hi, count, seed)
+        points, keep, _ = replay_v4(moduli, p, hi - lo, count, seed)
+        assert batch.omegas.tolist() == points
+        coding = np.ones((count, hi - lo), dtype=np.uint8)
+        for k, m in enumerate(moduli):
+            coding &= (batch.omegas[:, k, None] + np.arange(lo, hi)) % m != 0
+        assert np.array_equal(batch.bits, coding & keep)
+
     @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(3, 2**65)])
     def test_periodic_windows_replay(self, p):
         # the block "1" has modulus 1 and all-1 windows, so its rows are the
@@ -778,6 +799,14 @@ class TestSqueezeEmbed:
         assert out.offset == -2
         assert out.to_string() == "1110"
 
+    @pytest.mark.parametrize("offset", [2**63 - 3, -(2**63) - 3, 10**20, -(10**20)])
+    def test_offsets_past_int64(self, offset):
+        x = BinaryWord.from_string("110010", offset)
+        z = BinaryWord.from_string("101011", offset)
+        out = squeeze(x, z)
+        assert out.to_string() == "1010" and out.offset == -4 * (offset < 0)
+        assert embed(BinaryWord.from_string("0110"), z) == BinaryWord.from_string("001010", offset)
+
     def test_embed_example(self):
         z = BinaryWord.from_string("101010")
         out = embed(BinaryWord.from_string("101"), z)
@@ -847,12 +876,18 @@ class TestEmpiricalBlockDistribution:
     @given(
         st.integers(1, 24).flatmap(
             lambda size: st.lists(
-                st.text(alphabet="01", min_size=size, max_size=size), min_size=1, max_size=6
+                st.text(alphabet="01", min_size=size, max_size=size), min_size=1, max_size=40
             )
         ),
-        st.integers(1, 12),
+        st.integers(1, 24),
     )
-    @settings(max_examples=100)
+    # counted (2^n <= windows) and sorted (2^n > windows); in both, a window
+    # across a row end would show "11", which no row holds
+    @example(["1000", "0001"] * 20, 2)
+    @example(["1" + "0" * 22 + "1"] * 2, 23)
+    @example(["0110" * 6] * 40, 9)
+    @example(["0110" * 6] * 40, 10)
+    @settings(max_examples=200)
     def test_matches_string_slicing(self, texts, n):
         batch = block_batch(texts)
         if n > len(texts[0]):
