@@ -1,7 +1,8 @@
 """Command-line surface.  JSON output by default, CSV for batch pipelines.
 
-Usage errors exit 2 (argparse); domain errors exit 1 with a JSON error
-object on stderr.  Every schema carries "schema": 1.
+Usage errors exit 2 (argparse); domain errors, and an ``--out`` path that
+cannot be written, exit 1 with a JSON error object on stderr.  Every
+schema carries "schema": 1.
 """
 
 from __future__ import annotations
@@ -366,30 +367,30 @@ def _to_csv(obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _error(name: str, message: str) -> int:
+    print(json.dumps({"schema": SCHEMA, "error": name, "message": message}), file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
     except BFreeError as exc:
-        payload = json.dumps(
-            {"schema": SCHEMA, "error": type(exc).__name__, "message": str(exc)}
-        )
-        print(payload, file=sys.stderr)
-        return 1
+        return _error(type(exc).__name__, str(exc))
     except (ValueError, KeyError) as exc:
-        print(
-            json.dumps({"schema": SCHEMA, "error": "ValueError", "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
+        return _error("ValueError", str(exc))
     result = {"schema": SCHEMA, **result}
     fmt = getattr(args, "format", None) or "json"
     out_path = getattr(args, "out", None)
     text = _to_csv(result) if fmt == "csv" else json.dumps(result)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            return _error(type(exc).__name__, str(exc))
     else:
         print(text)
     return 0

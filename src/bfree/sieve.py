@@ -9,12 +9,7 @@ about 2^20 bytes: the wheel is tiled into the segment and each class of
 the remaining moduli is struck there by strided assignment while the
 segment is still in cache.  Only a one-row window longer than 2^20 bits
 is cut; a block of several rows is one segment, since cutting it would
-repeat every row group's strike in each segment.  A one-row window of 16
-or more segments is filled by W threads, one per CPU the process may use
-and at most one per 8 segments: thread i takes segments i, i + W,
-i + 2W, ..., and the caller is thread 0.  A shorter window stays on the
-caller.  Each bit is set by the same code whichever thread fills its
-segment, so the bits do not depend on the CPU count.  Work is
+repeat every row group's strike in each segment.  Work is
 O(L + sum over the other moduli of s_k L / b_k) per row, plus one strike
 call per class and segment, so 10^8-size windows stay feasible; memory
 is the block itself plus one (rows, P) wheel.  One kernel strikes a
@@ -25,7 +20,6 @@ case.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -55,21 +49,6 @@ _WHEEL_REPEATS = 64
 # slice of whole wheel periods holding about _SEGMENT_BYTES, so every
 # strike on it lands while the freshly tiled segment is still in cache.
 _SEGMENT_BYTES = 2**20
-
-# A one-row window of at least _SPLIT_SEGMENTS segments is filled by one
-# thread per CPU; below that, waking a second CPU costs more than it saves.
-# On a 2-vCPU VM, splitting a 10-segment window raised its median over
-# fresh processes from 1.39 to 1.75 ms, and 16 segments ran 30% faster.
-_SPLIT_SEGMENTS = 16
-
-
-def _cpus() -> int:
-    # the CPUs this process may run on; sched_getaffinity is Linux-only
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
 
 def _check_window(lo: int, hi: int, rows: int = 1) -> None:
     # Refuse an empty window, then a block past the budget, before any work.
@@ -143,64 +122,20 @@ def _sieve(lo: int, hi: int, moduli, classes, omegas: np.ndarray) -> np.ndarray:
     width = length
     if rows == 1 and length > _SEGMENT_BYTES:
         width = max(1, _SEGMENT_BYTES // period) * period
-    segments = -(-length // width)
-    # worker i fills segments i, i + workers, ..., at least half of
-    # _SPLIT_SEGMENTS of them, so a shorter window stays on the caller.
-    # numpy drops the GIL in the tile copies and the strikes; interleaved
-    # segments keep the workers faulting in neighbouring fresh pages,
-    # where contiguous halves of the block stalled for milliseconds.
-    workers = min(_cpus(), 2 * segments // _SPLIT_SEGMENTS) if segments >= _SPLIT_SEGMENTS else 1
-    if workers == 1:
-        _fill(block, wheel, plan, width, 0, 1)
-        return block
-    import threading  # loaded only by a process that splits a window
-    failures, helpers = [], []
-
-    def helper(i):
-        try:
-            _fill(block, wheel, plan, width, i, workers)
-        except BaseException as exc:
-            failures.append(exc)
-
-    try:
-        for i in range(1, workers):
-            thread = threading.Thread(target=helper, args=(i,))
-            thread.start()
-            helpers.append(thread)
-        _fill(block, wheel, plan, width, 0, workers)
-    finally:
-        for thread in helpers:
-            thread.join()
-    if failures:
-        # a helper's segments may be left unfilled np.empty memory: never
-        # return them
-        raise failures[0]
-    return block
-
-
-def _fill(block: np.ndarray, wheel, plan, width: int, i: int, workers: int) -> None:
-    """Fill and strike segments i, i + workers, i + 2 workers, ... of the block.
-
-    Segment k is columns [k width, (k + 1) width), cut at the block's end,
-    and ``width`` is a multiple of the wheel's period P.  Each segment is
-    tiled from the (rows, P) wheel, or set to ones when ``wheel`` is None,
-    and then struck by the plan of the remaining moduli.
-    """
-    length = block.shape[1]
-    for start in range(i * width, length, workers * width):
+    for start in range(0, length, width):
         stop = min(start + width, length)
         if wheel is None:
             # no wheel: a scalar fill, several times faster than tiling a
             # one-column wheel of ones over short rows
             block[:, start:stop] = 1
         else:
-            rows, period = wheel.shape
             tiled = stop - (stop - start) % period
             # segments start on whole periods, and splitting the unit-stride
             # column axis is always a view, never a copy
             block[:, start:tiled].reshape(rows, (tiled - start) // period, period)[...] = wheel[:, None, :]
             block[:, tiled:stop] = wheel[:, : stop - tiled]
         _strike(block, plan, start, stop)
+    return block
 
 
 def _coding(moduli, classes, residues, lo: int, hi: int) -> BinaryWord:

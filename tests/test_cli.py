@@ -158,6 +158,14 @@ class TestFormatsAndErrors:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["word"]["bits"] == "010001"
 
+    def test_out_file_not_writable_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "result.json"
+        code, out, err = run(capsys, "eta", "--bset", "2,3", "--window", "0:5", "--out", str(path))
+        assert code == 1 and out == ""
+        obj = json.loads(err)
+        assert obj == {"schema": 1, "error": "FileNotFoundError", "message": obj["message"]}
+        assert str(path) in obj["message"] and not path.parent.exists()
+
     def test_domain_error_exit_1(self, capsys):
         code, out, err = run(capsys, "eta", "--bset", "2,4", "--window", "0:6")
         assert code == 1 and out == ""

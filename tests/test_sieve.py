@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bfree import sieve
 from bfree.core import BinaryWord, BSet, OdometerPoint, squarefree_family, validate_bset
 from bfree.errors import EmptyWord, WindowTooLarge
 from bfree.measures import _sample
@@ -303,7 +300,7 @@ class TestWheelSieve:
 
 
 class TestSegmentedSieve:
-    """Windows cut into many segments by a segment of a few hundred bytes.
+    """Windows cut into many segments by a segment of 64 to 700 bytes.
 
     A one-row window longer than ``_SEGMENT_BYTES`` is filled and struck
     one column slice of whole wheel periods at a time, so with the constant
@@ -315,9 +312,13 @@ class TestSegmentedSieve:
     @given(
         profiles(),
         st.lists(st.integers(-(10**20), 10**20), min_size=4, max_size=4),
-        st.one_of(st.integers(-(2**70), 2**70), st.integers(-(2**63) - 40_000, -(2**63))),
+        st.one_of(
+            st.integers(-(2**70), 2**70),
+            st.integers(-(2**63) - 40_000, -(2**63)),
+            st.integers(2**63 - 40_000, 2**63),
+        ),
         st.integers(1, 30_000),
-        st.integers(200, 700),
+        st.integers(64, 700),
         st.sampled_from(["eta", "phi", "phi_sa"]),
     )
     @example(SAProfile.plain(validate_bset([2, 3, 5, 7])), [0] * 4, -(2**64) - 3, 64 * 210 + 11, 500, "eta")
@@ -335,6 +336,9 @@ class TestSegmentedSieve:
             ([2, 3, 5, 7], 500, 64 * 210 + 11),
             # P = 44100 is wider than a segment, so each segment is one period
             ([4, 9, 25, 49], 300, 64 * 44100 + 101),
+            # P = 36, segments of 504 bits, and the 16th segment is one bit
+            # (a 1 at this point): a dropped last segment would leave it unset
+            ([4, 9, 25, 49], 512, 15 * 504 + 1),
         ],
     )
     def test_last_segment_shorter_than_a_period(self, monkeypatch, moduli, segment, span):
@@ -352,7 +356,7 @@ class TestSegmentedSieve:
         st.integers(1, 8_000),
         SAMPLE_COUNTS,
         st.integers(0, 2**32),
-        st.integers(200, 700),
+        st.integers(64, 700),
     )
     @example(SAProfile.plain(BSet((4, 6))), 2**64 + 1, 3000, (2, 0), 8, 300)
     @settings(max_examples=40, deadline=None)
@@ -387,132 +391,3 @@ class TestSegmentedSieve:
             eta_window(sf4, 5, 5 + budget + 1)
         with pytest.raises(WindowTooLarge):
             _sample(sf4.moduli, [(0,)] * 4, sf4.moduli, Fraction(1), 0, budget // 2 + 1, 2, 9)
-
-
-class SegmentFailed(Exception):
-    pass
-
-
-class TestSplitSieve:
-    """One-row windows of ``_SPLIT_SEGMENTS`` or more segments, split across CPUs.
-
-    With ``_SEGMENT_BYTES`` shrunk to a few hundred bytes, windows of a few
-    thousand bits cross the split threshold; the CPU count is patched, so
-    windows filled by one, two and three workers are all checked here
-    whatever the machine has.
-    """
-
-    @given(
-        profiles(),
-        st.lists(st.integers(-(10**20), 10**20), min_size=4, max_size=4),
-        st.one_of(st.integers(-(2**70), 2**70), st.integers(-(2**63) - 40_000, -(2**63)), st.integers(2**63 - 40_000, 2**63)),
-        st.integers(1, 30_000),
-        st.integers(64, 400),
-        st.sampled_from([2, 3, 16]),
-        st.sampled_from([1, 2, 3]),
-        st.sampled_from(["eta", "phi", "phi_sa"]),
-    )
-    @example(SAProfile.plain(validate_bset([2, 3, 5, 7])), [0] * 4, -(2**64) - 3, 64 * 210 + 11, 420, 16, 3, "eta")
-    @example(SAProfile.plain(squarefree_family(3)), [10**20] * 4, 2**63 - 5, 64 * 900 + 899, 300, 16, 2, "phi")
-    @settings(max_examples=80, deadline=None)
-    def test_codings_do_not_depend_on_the_cpu_count(self, profile, residues, lo, span, segment, split, cpus, kind):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
-            patch.setattr("bfree.sieve._SPLIT_SEGMENTS", split)
-            patch.setattr("bfree.sieve._cpus", lambda: cpus)
-            assert_one_row_coding(profile, residues, lo, span, kind)
-
-    @given(
-        profiles(max_period=200),
-        st.integers(-(2**66), 2**66),
-        st.integers(1, 8_000),
-        SAMPLE_COUNTS,
-        st.integers(0, 2**32),
-        st.integers(64, 400),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_sampled_rows_do_not_depend_on_the_cpu_count(self, profile, lo, span, counts, seed, segment):
-        # the one line that a block of P' or more rows is cut from is split too
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
-            patch.setattr("bfree.sieve._SPLIT_SEGMENTS", 2)
-            patch.setattr("bfree.sieve._cpus", lambda: 3)
-            assert_sampled_rows(profile, lo, span, counts, seed)
-
-    @staticmethod
-    def split_window(monkeypatch, cpus, span=36_000):
-        # sf4 over up to 64 * 900 bits: a 36-column wheel and 504-bit
-        # segments, 72 of them over 36000 bits
-        monkeypatch.setattr("bfree.sieve._SEGMENT_BYTES", 512)
-        monkeypatch.setattr("bfree.sieve._cpus", lambda: cpus)
-        return squarefree_family(4), 5, 5 + span
-
-    @pytest.mark.parametrize(
-        "cpus, span, helpers",
-        [(1, 36_000, 0), (2, 36_000, 1), (3, 36_000, 2), (64, 36_000, 8), (64, 15 * 504, 0), (64, 15 * 504 + 1, 1)],
-    )
-    def test_one_helper_thread_per_extra_worker(self, monkeypatch, cpus, span, helpers):
-        # at most one worker per CPU, each filling at least
-        # _SPLIT_SEGMENTS / 2 = 8 segments: 72 segments make at most 9
-        # workers, 15 stay on the caller and 16 (the last one a single bit)
-        # make two
-        sf4, lo, hi = self.split_window(monkeypatch, cpus, span)
-        started = []
-
-        class Recorded(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Recorded)
-        word = eta_window(sf4, lo, hi)
-        assert len(started) == helpers
-        assert not any(thread.is_alive() for thread in started)
-        assert np.array_equal(word.bits, coding_oracle(sf4.moduli, [(0,)] * 4, [0] * 4, lo, hi))
-
-    def test_more_threads_than_cores_under_a_short_switch_interval(self, monkeypatch):
-        # nine workers on interleaved segments of one block, switching
-        # threads as often as the interpreter allows: a segment written twice
-        # or not at all would show against the oracle
-        sf4, lo, hi = self.split_window(monkeypatch, 64)
-        point = OdometerPoint(sf4, (1, 2, 3, 4))
-        oracle = coding_oracle(sf4.moduli, [(0,)] * 4, point.residues, lo, hi)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                assert np.array_equal(phi_window(point, lo, hi).bits, oracle)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("failing", ["helper", "caller"])
-    def test_a_failing_run_raises_and_leaves_no_thread(self, monkeypatch, failing):
-        sf4, lo, hi = self.split_window(monkeypatch, 3)
-        fill = sieve._fill
-
-        def flaky(block, wheel, plan, width, i, workers):
-            # the caller is worker 0, the helpers are workers 1, 2, ...
-            if (i == 0) == (failing == "caller"):
-                raise SegmentFailed(f"worker {i} of {workers}")
-            fill(block, wheel, plan, width, i, workers)
-
-        monkeypatch.setattr("bfree.sieve._fill", flaky)
-        threads = threading.active_count()
-        with pytest.raises(SegmentFailed):
-            eta_window(sf4, lo, hi)
-        assert threading.active_count() == threads
-
-    def test_budget_refused_before_any_thread(self, monkeypatch):
-        sf4, lo, hi = self.split_window(monkeypatch, 2)
-        monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", hi - lo)
-        # at the budget the window is split and built
-        assert np.array_equal(eta_window(sf4, lo, hi).bits, coding_oracle(sf4.moduli, [(0,)] * 4, [0] * 4, lo, hi))
-
-        def start(*args, **kwargs):
-            raise AssertionError("started a thread before the budget check")
-
-        monkeypatch.setattr(threading, "Thread", start)
-        with pytest.raises(WindowTooLarge):
-            eta_window(sf4, lo, hi + 1)
-        with pytest.raises(WindowTooLarge):
-            phi_window(OdometerPoint(sf4, (1, 2, 3, 4)), lo, hi + 1)

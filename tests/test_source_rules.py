@@ -226,17 +226,13 @@ def _imported_modules(source):
     return names
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "sieve.py"], ids=lambda p: p.name
-)
-def test_threads_only_in_the_sieve(path):
-    # sieve._sieve is the one place that fills a window on several CPUs, and
-    # it joins its threads before it returns; no other module starts one
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_threading(path):
+    # every computation runs on the calling thread: no module starts a thread
     assert "threading" not in _imported_modules(path.read_text()), f"{path.name} imports threading"
 
 
-def test_thread_rule_sees_the_sieve_and_every_import_form():
-    assert "threading" in _imported_modules((Path(bfree.__file__).parent / "sieve.py").read_text())
+def test_thread_rule_sees_every_import_form():
     source = "import os.path, threading as t\nfrom concurrent.futures import wait\nfrom . import core\nfrom .sieve import _sieve\n"
     assert _imported_modules(source) == {"os", "threading", "concurrent"}
 
@@ -254,9 +250,8 @@ def _modules_after(statement):
 
 
 def test_cli_start_up_leaves_concurrent_futures_unimported():
-    # concurrent.futures adds about 2.5 ms to every cold bfree process; the
-    # sieve's threads come from threading, which it imports only when it
-    # splits a window
+    # concurrent.futures adds about 2.5 ms to every cold bfree process, and
+    # no computation of the package needs it
     loaded = _modules_after("import bfree.cli")
     assert "bfree.sieve" in loaded and "concurrent.futures" not in loaded
 
