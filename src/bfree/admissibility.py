@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import BinaryWord, BSet
+from .core import BinaryWord, BSet, Residues
 from .errors import BudgetExceeded, Inadmissible, StateSpaceTooLarge
 
 __all__ = [
@@ -340,22 +340,10 @@ def theta_window(word: BinaryWord, bset: BSet) -> list[frozenset[int] | None]:
 
 
 def minimal_translation_period(residues: frozenset[int] | set[int], b: int) -> int:
-    """Smallest j >= 1, dividing b, with residues - j == residues (mod b).
-
-    Translations fixing the set form a subgroup of Z/bZ, generated by its
-    least positive element, which divides b.  A translation by j fixing
-    the set maps min(R) into R, so j == r - min(R) for some r in R: only
-    those |R| shifts (and b) are tried, at O(|R|) each.  The empty set is
-    fixed by every translation.
-    """
-    (target,) = _hit_residues(residues, (b,))
-    if not target:
-        return 1
-    base = min(target)
-    shifts = sorted({(r - base) % b for r in target} - {0} | {b})
-    return next(
-        j for j in shifts if b % j == 0 and all((r + j) % b in target for r in target)
-    )
+    """Smallest j >= 1, dividing b, with residues - j == residues (mod b):
+    the period :attr:`bfree.core.Residues.periods` derives, after reducing
+    the residues mod b.  The empty set is fixed by every translation."""
+    return Residues((b,), tuple(_hit_residues(residues, (b,)))).periods[0]
 
 
 @dataclass(frozen=True)

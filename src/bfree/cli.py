@@ -252,30 +252,32 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write output to this path instead of stdout")
     top = argparse.ArgumentParser(prog="bfree", parents=[common])
     sub = top.add_subparsers(dest="command", required=True)
+    # flags that several subcommands take alike, added first, in the order named
+    shared = {
+        "--bset": {"type": _int_list, "required": True},
+        "--window": {"type": _parse_window, "required": True},
+        "--word": {"required": True},
+        "--offset": {"type": int, "default": 0},
+    }
 
-    def cmd(name, handler, **kw):
+    def cmd(name, handler, *flags, **kw):
         p = sub.add_parser(name, parents=[common], **kw)
         # usage_error exits 2 with the subcommand's usage, for checks
         # that span several arguments
         p.set_defaults(handler=handler, usage_error=p.error)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         return p
 
-    p = cmd("eta", _eta)
-    p.add_argument("--bset", type=_int_list, required=True)
-    p.add_argument("--window", type=_parse_window, required=True)
+    cmd("eta", _eta, "--bset", "--window")
 
-    p = cmd("phi", _phi)
-    p.add_argument("--bset", type=_int_list, required=True)
+    p = cmd("phi", _phi, "--bset")
     p.add_argument("--omega", type=_int_list, required=True, help="comma-separated residues")
-    p.add_argument("--window", type=_parse_window, required=True)
+    p.add_argument("--window", **shared["--window"])
 
-    p = cmd("admissible", _admissible)
-    p.add_argument("--bset", type=_int_list, required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--offset", type=int, default=0)
+    cmd("admissible", _admissible, "--bset", "--word", "--offset")
 
-    p = cmd("complexity", _complexity)
-    p.add_argument("--bset", type=_int_list, required=True)
+    p = cmd("complexity", _complexity, "--bset")
     p.add_argument("--n", type=int, required=True)
 
     p = cmd("entropy", _entropy)
@@ -286,41 +288,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_int_groups, help="semicolon-separated residue groups, e.g. 0,2;0,3,6")
     p.add_argument("--block")
 
-    p = cmd("mirsky", _mirsky)
-    p.add_argument("--bset", type=_int_list, required=True)
+    p = cmd("mirsky", _mirsky, "--bset")
     p.add_argument("--ones", type=_int_list, default=())
     p.add_argument("--zeros", type=_int_list, default=())
 
     p = cmd("sample", _sample)
     p.add_argument("--measure", choices=["mirsky", "mme", "product", "generalized"], required=True)
-    p.add_argument("--bset", type=_int_list, required=True)
-    p.add_argument("--window", type=_parse_window, required=True)
+    p.add_argument("--bset", **shared["--bset"])
+    p.add_argument("--window", **shared["--window"])
     p.add_argument("--p", type=_fraction, default="1")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--s", type=_int_list)
     p.add_argument("--a", type=_int_groups)
 
-    p = cmd("spectrum", _spectrum)
-    p.add_argument("--bset", type=_int_list, required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--offset", type=int, default=0)
+    cmd("spectrum", _spectrum, "--bset", "--word", "--offset")
 
-    p = cmd("theta", _theta)
-    p.add_argument("--bset", type=_int_list, required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--offset", type=int, default=0)
+    cmd("theta", _theta, "--bset", "--word", "--offset")
 
-    p = cmd("include", _include, aliases=["witness"])
-    p.add_argument("--bset", type=_int_list, required=True)
+    p = cmd("include", _include, "--bset", aliases=["witness"])
     p.add_argument("--other", type=_int_list, required=True)
 
     p = cmd("construct-admissible", _construct_admissible)
     p.add_argument("--small", type=_int_list, default=())
     p.add_argument("--bprime", type=int, required=True)
 
-    p = cmd("density", _density)
-    p.add_argument("--bset", type=_int_list, required=True)
+    p = cmd("density", _density, "--bset")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--horizon", type=int, required=True)
@@ -330,26 +323,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='"golden" or a rational/decimal in (0,1)')
     p.add_argument("--y", type=_fraction, default="0")
     p.add_argument("--interval", type=_interval, default="0:1/2")
-    p.add_argument("--window", type=_parse_window, required=True)
+    p.add_argument("--window", **shared["--window"])
 
     p = cmd("counterexample", _counterexample)
     p.add_argument("which", choices=["two-mme"])
     p.add_argument("--p", type=_fraction, default="1/2")
 
-    p = cmd("transitive", _transitive)
-    p.add_argument("--bset", type=_int_list, required=True)
+    p = cmd("transitive", _transitive, "--bset")
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--length", type=int, required=True)
 
     p = cmd("squeeze", _squeeze)
     p.add_argument("--x", required=True)
     p.add_argument("--z", required=True)
-    p.add_argument("--offset", type=int, default=0)
+    p.add_argument("--offset", **shared["--offset"])
 
     p = cmd("embed", _embed)
     p.add_argument("--u", required=True)
     p.add_argument("--z", required=True)
-    p.add_argument("--offset", type=int, default=0)
+    p.add_argument("--offset", **shared["--offset"])
 
     return top
 

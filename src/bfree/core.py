@@ -1,4 +1,5 @@
-"""Core value types: moduli sets, odometer points, binary words, cylinders.
+"""Core value types: moduli sets, residue systems, odometer points, binary
+words, cylinders.
 
 All types are immutable after construction and safe to share between
 threads.  Rationals are exact (:class:`fractions.Fraction`); bit sequences
@@ -13,12 +14,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import BudgetExceeded, EmptyWord, LengthMismatch, ModulusTooSmall, NotCoprime, NotSorted
 
 __all__ = [
     "BSet",
+    "Residues",
     "OdometerPoint",
     "BinaryWord",
     "CylinderSpec",
@@ -55,6 +58,11 @@ class BSet:
         """Product of all moduli (the joint residue period)."""
         return math.prod(self.moduli)
 
+    @cached_property
+    def residue_system(self) -> "Residues":
+        """The B-free residue system: class 0 forbidden mod every modulus."""
+        return Residues(self.moduli, (frozenset((0,)),) * len(self.moduli))
+
     def to_json(self) -> str:
         return json.dumps(
             {"moduli": list(self.moduli), "tail_bound": str(self.tail_bound)}
@@ -64,6 +72,41 @@ class BSet:
     def from_json(cls, text: str) -> "BSet":
         obj = json.loads(text)
         return validate_bset(obj["moduli"], Fraction(obj["tail_bound"]))
+
+
+@dataclass(frozen=True)
+class Residues:
+    """A residue system: moduli b_k, and a set of forbidden classes mod each.
+
+    At odometer point omega, modulus k strikes position n iff
+    (omega(k) + n) mod b_k lies in classes[k], a frozenset reduced mod b_k;
+    the coding is 1 where no modulus strikes.  B-free sets, SA profiles and
+    periodic points are each one such system, and the sieve, the samplers
+    and the cylinder DP each take one.
+    """
+
+    moduli: tuple[int, ...]
+    classes: tuple[frozenset[int], ...]
+
+    @cached_property
+    def periods(self) -> tuple[int, ...]:
+        """Minimal translation period of each class set R mod b: the least
+        j >= 1 with R - j == R (mod b).  The coding depends on omega(k) only
+        mod it, so these are the moduli a sampler draws from.
+
+        Translations fixing R form a subgroup of Z/bZ, generated by its
+        least positive element, which divides b.  A translation by j fixing
+        R maps min(R) into R, so j == r - min(R) for some r in R: only
+        those |R| shifts are tried, at O(|R|) each, and b fixes every set.
+        The empty set is fixed by 1, a single class by nothing short of b.
+        """
+        periods = []
+        for ak, b in zip(self.classes, self.moduli):
+            base = min(ak, default=0)
+            shifts = sorted({(r - base) % b for r in ak} - {0}) if len(ak) > 1 else []
+            fixing = (j for j in shifts if b % j == 0 and all((r + j) % b in ak for r in ak))
+            periods.append(next(fixing, b if ak else 1))
+        return tuple(periods)
 
 
 def validate_bset(moduli: Iterable[int], tail_bound=Fraction(0)) -> BSet:

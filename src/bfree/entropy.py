@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .admissibility import residue_hits
-from .core import BinaryWord, BSet
+from .core import BinaryWord, BSet, crt_free_count
 from .errors import BadDensityOrder, WrongWindowLength
 from .sieve import SAProfile
 from .sturmian import PeriodicHereditarySystem
@@ -43,15 +43,7 @@ class EntropyReport:
             raise ValueError("entropy cannot be negative")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bits": self.bits,
-                "exact": str(self.exact) if self.exact is not None else None,
-                "formula": self.formula,
-                "inputs": self.inputs,
-                "truncation_note": self.truncation_note,
-            }
-        )
+        return json.dumps({**asdict(self), "exact": str(self.exact) if self.exact is not None else None})
 
 
 def _tail_note(bset: BSet) -> str:
@@ -68,9 +60,7 @@ def htop_bfree(bset: BSet) -> EntropyReport:
 
     Equals prod(1 - 1/b_k) bits: the support density of the free set.
     """
-    exact = math.prod(
-        (Fraction(b - 1, b) for b in bset.moduli), start=Fraction(1)
-    )
+    exact = Fraction(crt_free_count(bset), bset.period)
     return EntropyReport(
         float(exact), exact, "prod(1 - 1/b_k)", {"moduli": list(bset.moduli)}, _tail_note(bset)
     )
@@ -89,9 +79,7 @@ def h_product_type(bset: BSet, p) -> EntropyReport:
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must lie strictly in (0, 1)")
-    density = math.prod(
-        (Fraction(b - 1, b) for b in bset.moduli), start=Fraction(1)
-    )
+    density = Fraction(crt_free_count(bset), bset.period)
     exact = density if p == Fraction(1, 2) else None
     return EntropyReport(
         binary_entropy(p) * float(density),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from . import sieve
 from .core import BinaryWord, BSet, OdometerPoint
@@ -62,10 +62,8 @@ def construct_admissible(small_moduli, b_prime: int) -> set[int]:
     the loop when that length exceeds ``sieve.MAX_WINDOW_BITS``.
     """
     small = tuple(int(m) for m in small_moduli)
-    for i in range(len(small)):
-        for j in range(i + 1, len(small)):
-            if math.gcd(small[i], small[j]) != 1:
-                raise ValueError("small moduli must be pairwise coprime")
+    if any(math.gcd(a, b) != 1 for a, b in combinations(small, 2)):
+        raise ValueError("small moduli must be pairwise coprime")
     b_prime = int(b_prime)
     if b_prime < 2:
         raise ValueError("b_prime must be >= 2")
@@ -98,19 +96,11 @@ def _separating_modulus(moduli_a: tuple[int, ...], b_prime: int) -> bool:
             f"reserved-residue combinations {math.prod(moduli_a)} exceed budget"
         )
     gs = [math.gcd(a, b_prime) for a in moduli_a]
-    for reserved in product(*(range(a) for a in moduli_a)):
-        ok = True
-        for r in range(b_prime):
-            for m, a, g in zip(reserved, moduli_a, gs):
-                if (m - r) % g == 0 and a == g:
-                    # every n == r (mod b') also has n == m (mod a)
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    # a == g and g | m - r: every n == r (mod b') also has n == m (mod a)
+    return any(
+        all((m - r) % g or a != g for r in range(b_prime) for m, a, g in zip(reserved, moduli_a, gs))
+        for reserved in product(*(range(a) for a in moduli_a))
+    )
 
 
 def word_level_includes(bset_a: BSet, bset_b: BSet) -> bool:

@@ -1,9 +1,11 @@
 """Cylinder probabilities and reproducible samplers for invariant measures.
 
 The sampled measures are push-forwards of Haar measure on the odometer
-under the windowed coding, optionally convolved with an independent
-Bernoulli mask (keep each 1 with probability p).  p = 1 gives the plain
-push-forward; p = 1/2 gives the measure of maximal entropy.
+of one residue system (:class:`bfree.core.Residues`, whose derived periods
+are its moduli) under the system's windowed coding, optionally convolved
+with an independent Bernoulli mask (keep each 1 with probability p).
+p = 1 gives the plain push-forward; p = 1/2 gives the measure of maximal
+entropy.  The cylinder DP takes the same system, so it is their exact law.
 
 RNG contract v4 (``GENERATOR_ID = "splitmix64-counter-v4"``, recorded in
 batch metadata).  Every random word is a pure function of (seed, stream,
@@ -59,7 +61,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .core import BinaryWord, BSet, CylinderSpec
+from .core import BinaryWord, BSet, CylinderSpec, Residues
 from .errors import BudgetExceeded, EmptySupport, LengthMismatch, TooManyZeros
 from .sieve import SAProfile, _check_window, _sieve
 
@@ -107,7 +109,7 @@ def mirsky_cylinder(bset: BSet, ones: Iterable[int]) -> Fraction:
     full residue system modulo some modulus.
     """
     spec = CylinderSpec({n: 1 for n in ones})
-    return _cylinder(bset.moduli, [(0,)] * len(bset.moduli), spec, Fraction(1))
+    return _cylinder(bset.residue_system, spec, Fraction(1))
 
 
 def mixed_cylinder(bset: BSet, spec: CylinderSpec) -> Fraction:
@@ -116,10 +118,10 @@ def mixed_cylinder(bset: BSet, spec: CylinderSpec) -> Fraction:
     The coverage DP of :func:`_cylinder` with the single class 0 per
     modulus: exact for moduli of any size, within ``MAX_COVER_STATES``.
     """
-    return _cylinder(bset.moduli, [(0,)] * len(bset.moduli), spec, Fraction(1))
+    return _cylinder(bset.residue_system, spec, Fraction(1))
 
 
-def _cylinder(moduli, classes, spec: CylinderSpec, p: Fraction) -> Fraction:
+def _cylinder(residues: Residues, spec: CylinderSpec, p: Fraction) -> Fraction:
     """Exact probability of ``spec`` under the measure :func:`_sample` draws.
 
     A point is one uniform coordinate r_k mod each b_k; r_k strikes n iff
@@ -139,11 +141,13 @@ def _cylinder(moduli, classes, spec: CylinderSpec, p: Fraction) -> Fraction:
     before any state is built, and a set-up over MAX_COVER_SETUP steps
     raises BudgetExceeded before it runs.
     """
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
     ones, zeros = spec.ones, sorted(spec.zeros)
-    _check_set_up(classes, len(ones) + len(zeros))
+    _check_set_up(residues, len(ones) + len(zeros))
     full = (1 << len(zeros)) - 1
     groups = []  # per modulus: the 0 indices each striking coordinate strikes, the idle count
-    for b, ak in zip(moduli, classes):
+    for b, ak in zip(residues.moduli, residues.classes):
         banned = {(a - n) % b for a in ak for n in ones}
         strike: dict[int, list[int]] = {}
         for a in ak:
@@ -202,13 +206,13 @@ def _cylinder(moduli, classes, spec: CylinderSpec, p: Fraction) -> Fraction:
         count * (v - u) ** (len(zeros) - s.bit_count()) * v ** s.bit_count()
         for s, count in states.items()
     )
-    return Fraction(u ** len(ones) * total, v ** (len(ones) + len(zeros)) * math.prod(moduli))
+    return Fraction(u ** len(ones) * total, v ** (len(ones) + len(zeros)) * math.prod(residues.moduli))
 
 
-def _check_set_up(classes, positions: int) -> None:
+def _check_set_up(residues: Residues, positions: int) -> None:
     """Refuse a :func:`_cylinder` set-up over MAX_COVER_SETUP steps, one per
-    class and cylinder position, before anything is built."""
-    setup = sum(map(len, classes)) * positions
+    class and cylinder position, at least one per position, before anything is built."""
+    setup = max(sum(map(len, residues.classes)), 1) * positions
     if setup > MAX_COVER_SETUP:
         raise BudgetExceeded(f"cylinder set-up of {setup} steps exceeds budget {MAX_COVER_SETUP}")
 
@@ -329,12 +333,13 @@ def _uniform(seed: int, family: int, m: int, count: int) -> np.ndarray:
     return out
 
 
-def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: int, seed: int):
+def _sample(residues: Residues, p: Fraction, lo: int, hi: int, count: int, seed: int):
     """Read-only (count, hi - lo) uint8 bits and (count, K) int64 points.
 
     The package's only random draw, by the contract of the module
-    docstring: the points of :func:`_uniform`, then, when p < 1, the mask
-    of :func:`_mask` over the built block.
+    docstring: the points of :func:`_uniform` mod the draw moduli m_k, the
+    system's derived periods, then, when p < 1, the mask of :func:`_mask`
+    over the built block.
 
     Pairwise coprime draw moduli m_k make the odometer cyclic, Z/P with
     P = prod m_k: row i is the all-zero point's coding shifted by the t_i
@@ -352,6 +357,9 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     unchanged.
     """
     import numpy as np
+    draw_moduli = residues.periods
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
     if count < 0:
         raise ValueError("count must be >= 0")
     if not 0 <= seed < 1 << 64:
@@ -367,7 +375,7 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
     period = math.prod(draw_moduli)
     if period <= count and math.lcm(*draw_moduli) == period:
         from numpy.lib.stride_tricks import as_strided
-        line = _sieve(lo, hi + period - 1, moduli, classes, np.zeros((1, len(moduli)), np.int64))[0]
+        line = _sieve(lo, hi + period - 1, residues, np.zeros((1, len(draw_moduli)), np.int64))[0]
         # t_i by CRT in int64: the sum is below sum_k m_k * P <= P^2, and
         # P <= count <= 2^30 by the budget, so one reduction at the end, the
         # floor-division remainder of the nonnegative sum, with one scratch
@@ -385,7 +393,7 @@ def _sample(moduli, classes, draw_moduli, p: Fraction, lo: int, hi: int, count: 
         windows = as_strided(line, (period, length), line.strides * 2, writeable=False)
         block = windows.view(f"V{length}")[:, 0][phases].view(np.uint8).reshape(count, length)
     else:
-        block = _sieve(lo, hi, moduli, classes, omegas)
+        block = _sieve(lo, hi, residues, omegas)
     if p != 1:
         _mask(seed, p, block.reshape(-1))
     block.setflags(write=False)
@@ -434,23 +442,17 @@ def _mask(seed: int, p: Fraction, bits: np.ndarray) -> None:
         level += 1
 
 
-def _batch(measure: str, moduli, classes, draw_moduli, p, lo, hi, count, seed, /, **spec):
+def _batch(measure: str, residues: Residues, p, lo, hi, count, seed, /, **spec):
     # The one SampleBatch builder; ``spec`` goes after the moduli.  The draw's
     # arguments are positional-only, so a spec key may be "p".
-    block, omegas = _sample(moduli, classes, draw_moduli, p, lo, hi, count, seed)
-    return SampleBatch(
-        block,
-        int(lo),
-        seed,
-        {"measure": measure, "moduli": list(moduli), **spec, "window": [lo, hi], "count": count},
-        omegas=omegas,
-    )
+    block, omegas = _sample(residues, p, lo, hi, count, seed)
+    spec = {"measure": measure, "moduli": list(residues.moduli), **spec}
+    return SampleBatch(block, int(lo), seed, {**spec, "window": [lo, hi], "count": count}, omegas=omegas)
 
 
 def sample_mirsky(bset: BSet, lo: int, hi: int, count: int, seed: int) -> SampleBatch:
     """Windows of odometer codings with coordinatewise-uniform base points."""
-    mods = bset.moduli
-    return _batch("mirsky", mods, [(0,)] * len(mods), mods, Fraction(1), lo, hi, count, seed)
+    return _batch("mirsky", bset.residue_system, Fraction(1), lo, hi, count, seed)
 
 
 def sample_product(
@@ -461,10 +463,7 @@ def sample_product(
     The mask has its own stream; with p = 1 it is skipped and the batch
     coincides with :func:`sample_mirsky`.
     """
-    mods = spec.bset.moduli
-    return _batch(
-        "product", mods, [(0,)] * len(mods), mods, spec.p, lo, hi, count, seed, p=str(spec.p)
-    )
+    return _batch("product", spec.bset.residue_system, spec.p, lo, hi, count, seed, p=str(spec.p))
 
 
 def sample_generalized(
@@ -477,8 +476,7 @@ def sample_generalized(
     """
     p = ProductMeasureSpec(profile.bset, p).p
     spec = {"s": list(profile.s), "a": [sorted(ak) for ak in profile.a], "p": str(p)}
-    mods, draw = profile.bset.moduli, profile.odometer_moduli
-    return _batch("generalized", mods, profile.a, draw, p, lo, hi, count, seed, **spec)
+    return _batch("generalized", profile.residue_system, p, lo, hi, count, seed, **spec)
 
 
 def mask_batch(base: SampleBatch, kappa: SampleBatch) -> SampleBatch:

@@ -1,15 +1,16 @@
 """Windowed generation of multiple-free indicator sequences.
 
-Windows are produced by a segmented, wheel-prefilled residue sieve.  The
-smallest moduli, while their product P stays at most min(2^16, L // 64),
-form the wheel: their forbidden classes are struck once into a P-column
-block of ones, which is P-periodic in the position.  The window is then
-filled one segment at a time, a column slice of whole periods holding
-about 2^20 bytes: the wheel is tiled into the segment and each class of
-the remaining moduli is struck there by strided assignment while the
-segment is still in cache.  Only a one-row window longer than 2^20 bits
-is cut; a block of several rows is one segment, since cutting it would
-repeat every row group's strike in each segment.  Work is
+Every window is the coding of one residue system (:class:`bfree.core.Residues`)
+at one odometer point, produced by a segmented, wheel-prefilled residue
+sieve.  The smallest moduli, while their product P stays at most
+min(2^16, L // 64), form the wheel: their forbidden classes are struck
+once into a P-column block of ones, which is P-periodic in the position.
+The window is then filled one segment at a time, a column slice of whole
+periods holding about 2^20 bytes: the wheel is tiled into the segment and
+each class of the remaining moduli is struck there by strided assignment
+while the segment is still in cache.  Only a one-row window longer than
+2^20 bits is cut; a block of several rows is one segment, since cutting
+it would repeat every row group's strike in each segment.  Work is
 O(L + sum over the other moduli of s_k L / b_k) per row, plus one strike
 call per class and segment, so 10^8-size windows stay feasible; memory
 is the block itself plus one (rows, P) wheel.  One kernel strikes a
@@ -22,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .admissibility import _hit_residues, minimal_translation_period
-from .core import BinaryWord, BSet, OdometerPoint
+from .admissibility import _hit_residues
+from .core import BinaryWord, BSet, OdometerPoint, Residues
 from .errors import WindowTooLarge
 
 __all__ = [
@@ -96,7 +98,7 @@ def _strike(block: np.ndarray, plan, start: int, stop: int) -> None:
         block[rows, start + (first - start) % b : stop : b] = 0
 
 
-def _sieve(lo: int, hi: int, moduli, classes, omegas: np.ndarray) -> np.ndarray:
+def _sieve(lo: int, hi: int, residues: Residues, omegas: np.ndarray) -> np.ndarray:
     """Writable (rows, hi - lo) uint8 codings, one row per row of ``omegas``.
 
     Bit (i, n - lo) is 1 iff (omegas[i, k] + n) mod b_k avoids classes[k]
@@ -105,6 +107,7 @@ def _sieve(lo: int, hi: int, moduli, classes, omegas: np.ndarray) -> np.ndarray:
     the remaining moduli.
     """
     import numpy as np
+    moduli, classes = residues.moduli, residues.classes
     rows, length = len(omegas), hi - lo
     _check_window(lo, hi, rows)
     cap, period, w = min(_WHEEL_MAX, length // _WHEEL_REPEATS), 1, 0
@@ -138,17 +141,17 @@ def _sieve(lo: int, hi: int, moduli, classes, omegas: np.ndarray) -> np.ndarray:
     return block
 
 
-def _coding(moduli, classes, residues, lo: int, hi: int) -> BinaryWord:
+def _coding(residues: Residues, point, lo: int, hi: int) -> BinaryWord:
     # The one-row case of the sieve; object dtype keeps coordinates of any size.
     import numpy as np
-    block = _sieve(lo, hi, moduli, classes, np.array([residues], dtype=object))
+    block = _sieve(lo, hi, residues, np.array([point], dtype=object))
     block.setflags(write=False)
     return BinaryWord._views(block, [int(lo)])[0]
 
 
 def eta_window(bset: BSet, lo: int, hi: int) -> BinaryWord:
     """Indicator of integers in [lo, hi) divisible by no modulus."""
-    return _coding(bset.moduli, [(0,)] * len(bset), [0] * len(bset), lo, hi)
+    return _coding(bset.residue_system, [0] * len(bset), lo, hi)
 
 
 def phi_window(omega: OdometerPoint, lo: int, hi: int) -> BinaryWord:
@@ -157,8 +160,7 @@ def phi_window(omega: OdometerPoint, lo: int, hi: int) -> BinaryWord:
     Position n carries 1 iff omega(k) + n is nonzero mod b_k for every k.
     The all-zero point reproduces :func:`eta_window`.
     """
-    mods = omega.bset.moduli
-    return _coding(mods, [(0,)] * len(mods), omega.residues, lo, hi)
+    return _coding(omega.bset.residue_system, omega.residues, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -191,21 +193,20 @@ class SAProfile:
     @classmethod
     def plain(cls, bset: BSet) -> "SAProfile":
         """The degenerate profile s_k = 1, a^k = {0} (plain free numbers)."""
-        n = len(bset)
-        return cls(bset, (1,) * n, (frozenset([0]),) * n)
+        return cls(bset, (1,) * len(bset), bset.residue_system.classes)
+
+    @cached_property
+    def residue_system(self) -> Residues:
+        """The residue system forbidding each a^k mod b_k."""
+        return Residues(self.bset.moduli, self.a)
 
     @property
     def odometer_moduli(self) -> tuple[int, ...]:
         """Minimal translation period of each a^k (divides b_k)."""
-        return tuple(
-            minimal_translation_period(ak, b) for ak, b in zip(self.a, self.bset.moduli)
-        )
+        return self.residue_system.periods
 
     def free_density(self) -> Fraction:
-        return math.prod(
-            (Fraction(b - sk, b) for sk, b in zip(self.s, self.bset.moduli)),
-            start=Fraction(1),
-        )
+        return Fraction(math.prod(b - sk for sk, b in zip(self.s, self.bset.moduli)), self.bset.period)
 
 
 def phi_sa_window(
@@ -221,7 +222,7 @@ def phi_sa_window(
     """
     if isinstance(omega, OdometerPoint) and omega.bset.moduli != profile.bset.moduli:
         raise ValueError(f"point over moduli {omega.bset.moduli}, profile over {profile.bset.moduli}")
-    residues = omega.residues if isinstance(omega, OdometerPoint) else tuple(omega)
-    if len(residues) != len(profile.bset):
+    point = omega.residues if isinstance(omega, OdometerPoint) else tuple(omega)
+    if len(point) != len(profile.bset):
         raise ValueError("one odometer coordinate per modulus required")
-    return _coding(profile.bset.moduli, profile.a, residues, lo, hi)
+    return _coding(profile.residue_system, point, lo, hi)

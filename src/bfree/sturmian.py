@@ -11,9 +11,11 @@ pattern of Shewchuk, 1997).  A coding's n-blocks are the codes of the 2n
 arcs between the circle's cut points, with no orbit scan: the exact
 language for every alpha in the truncation interval and every y, or
 PrecisionExhausted.  A periodic point with minimal period c is the
-coding of the rotation on Z/c by its block's zero phases, so its windows
-and samples come from the residue sieve (:mod:`bfree.sieve`) and its
-exact maximal-entropy block frequencies from the cylinder DP of
+coding of one residue system (:class:`bfree.core.Residues`): modulus c,
+forbidding its block's zero phases.  So its windows, its minimal-subset
+variant (one more modulus per zeroed progression of blocks) and its
+samples come from the residue sieve (:mod:`bfree.sieve`), and its exact
+maximal-entropy block frequencies from the cylinder DP of
 :mod:`bfree.measures`, at any target length.  Hereditary-closure block
 counts use the dominated-enumeration identity (count words lying under
 some occurring block) and never materialize the closure.
@@ -29,8 +31,8 @@ from fractions import Fraction
 from itertools import accumulate, product
 from typing import Callable, Iterable
 
-from . import admissibility, sieve
-from .core import BinaryWord, CylinderSpec
+from . import measures, sieve
+from .core import BinaryWord, CylinderSpec, Residues
 from .errors import (
     BudgetExceeded,
     NotMinimalPeriod,
@@ -38,7 +40,6 @@ from .errors import (
     PreconditionUnmet,
     StateSpaceTooLarge,
 )
-from .measures import _check_set_up, _cylinder, _sample
 
 __all__ = [
     "RotationCoding",
@@ -318,14 +319,15 @@ class PeriodicHereditarySystem:
     """Hereditary closure of the periodic point repeating ``block``.
 
     The block must be its own minimal period c.  The periodic point is
-    the sieve coding of the rotation on Z/c that forbids the block's zero
-    phases, {(i + offset) mod c : bit i of the block is 0}; that zero set
-    is computed once, and the block is minimal iff c is its minimal
-    translation period.
+    the coding at point 0 of ``residue_system``, the residue system
+    ((c,), (Z,)) with Z = {(i + offset) mod c : bit i of the block is 0},
+    the block's zero phases.  The system is built once; the block is
+    minimal iff c is its derived period.  Windows, samples and cylinder
+    values all go through that one system.
     """
 
     block: BinaryWord
-    _zeros: frozenset[int] = field(init=False, repr=False, compare=False)
+    residue_system: Residues = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = len(self.block)
@@ -333,14 +335,15 @@ class PeriodicHereditarySystem:
             raise NotMinimalPeriod("empty block")
         offset, bits = self.block.offset, self.block.bits.tolist()
         zeros = frozenset((i + offset) % c for i, bit in enumerate(bits) if not bit)
-        d = admissibility.minimal_translation_period(zeros, c)
+        residues = Residues((c,), (zeros,))
+        (d,) = residues.periods
         if d < c:
             raise NotMinimalPeriod(f"block repeats with period {d} < {c}")
-        object.__setattr__(self, "_zeros", zeros)
+        object.__setattr__(self, "residue_system", residues)
 
     def window(self, lo: int, hi: int) -> BinaryWord:
         """The periodic concatenation restricted to [lo, hi)."""
-        return sieve._coding((len(self.block),), (self._zeros,), (0,), lo, hi)
+        return sieve._coding(self.residue_system, (0,), lo, hi)
 
 
 def two_mme_system() -> tuple[PeriodicHereditarySystem, PeriodicHereditarySystem]:
@@ -369,13 +372,10 @@ def mme_block_frequency(
     per-position cylinder is built) and the DP's state budget
     (``measures.MAX_COVER_STATES``) bound the work.
     """
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
     sieve._check_window(0, len(target))
-    _check_set_up((system._zeros,), len(target))
+    measures._check_set_up(system.residue_system, len(target))
     spec = CylinderSpec(dict(enumerate(target.bits.tolist())))
-    return _cylinder((len(system.block),), (system._zeros,), spec, p)
+    return measures._cylinder(system.residue_system, spec, Fraction(p))
 
 
 def sample_periodic_windows(
@@ -387,11 +387,7 @@ def sample_periodic_windows(
     1 kept w.p. p: the ``sample_generalized`` rows, same seed, for modulus c
     forbidding the phases of the block's zeros (:mod:`bfree.measures`).
     """
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
-    c = len(system.block)
-    return _sample((c,), (system._zeros,), (c,), p, 0, length, count, seed)[0]
+    return measures._sample(system.residue_system, Fraction(p), 0, length, count, seed)[0]
 
 
 def transitive_closure_point(
@@ -462,34 +458,36 @@ def minimal_subset_variant(
     k and n != k - 1.  The surviving blocks keep every catalogue block
     visible while the zeroed ones create unbounded zero runs with bounded
     gaps, killing minimality of the closure's natural candidate subsets.
+
+    The window is one sieve coding: the system's modulus c, and per product
+    P_k the modulus c P_k forbidding the c classes of block (k - 1) mod P_k.
+    Block k - 1 is then restored from the periodic window unless an
+    earlier product zeroes it.
     """
     if any(primes[i] >= primes[i + 1] for i in range(len(primes) - 1)):
         raise ValueError("primes must be strictly increasing")
     if primes and primes[0] < 2:
         raise ValueError("primes must be >= 2")
     import numpy as np
-    word = system.window(lo, hi)
     c = len(system.block)
     first, last = lo // c, (hi - 1) // c
-    # block indices as offsets from first, which stay small past int64
-    zeroed = np.zeros(last - first + 1, dtype=bool)
-    P = 1
+    moduli, classes, products, P = [c], list(system.residue_system.classes), [], 1
     for k, p in enumerate(primes, start=1):
         P *= p
         # a zeroed n lies at least P away from k - 1, and P outgrows that
         # distance faster than k moves it, so no later product can zero n
         if P > max(abs(first - k + 1), abs(last - k + 1)):
             break
-        j = k - 1 - first
-        kept = zeroed[j] if 0 <= j < len(zeroed) else None
-        zeroed[j % P :: P] = True
-        if kept is not None:
-            zeroed[j] = kept  # block k - 1 is not zeroed by its own product
-    # the window copied into rows of whole blocks, from lo % c into the first
-    rows = np.empty((len(zeroed), c), dtype=np.uint8)
-    bits = rows.reshape(-1)[lo % c : lo % c + (hi - lo)]
-    bits[:] = word.bits
-    np.copyto(rows, 0, where=zeroed[:, None])
+        moduli.append(c * P)
+        classes.append(frozenset(range((k - 1) % P * c, (k - 1) % P * c + c)))
+        products.append((k, P))
+    residues = Residues(tuple(moduli), tuple(classes))
+    bits = sieve._sieve(lo, hi, residues, np.zeros((1, len(moduli)), dtype=object))[0]
+    for k, _ in products:
+        # product j zeroes block k - 1 iff P_j divides k - j, never for j = k
+        if first <= k - 1 <= last and all((k - j) % P_j for j, P_j in products if j < k):
+            start, stop = max(lo, k * c - c), min(hi, k * c)
+            bits[start - lo : stop - lo] = system.window(start, stop).bits
     bits.setflags(write=False)
     return BinaryWord._views([bits], [int(lo)])[0]
 

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (run with -s to see them all).
 Randomized checks use frozen seeds recorded inline.
 """
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -266,7 +267,7 @@ def test_criterion_12_intrinsic_ergodicity():
     for moduli, w, lengths, value, bound in cases:
         bset = validate_bset(moduli)
         spec = CylinderSpec({i: int(bit) for i, bit in enumerate(w)})
-        mme = _cylinder(bset.moduli, [(0,)] * len(bset), spec, Fraction(1, 2))
+        mme = _cylinder(bset.residue_system, spec, Fraction(1, 2))
         errors = []
         for N in lengths:
             at = (N - len(w)) // 2
@@ -299,7 +300,7 @@ def test_criterion_12_intrinsic_ergodicity_property(moduli, w):
     # 1.2e-3), so q starts at 2.
     bset = validate_bset(moduli)
     spec = CylinderSpec({i: int(bit) for i, bit in enumerate(w)})
-    mme = _cylinder(bset.moduli, [(0,)] * len(bset), spec, Fraction(1, 2))
+    mme = _cylinder(bset.residue_system, spec, Fraction(1, 2))
     errors = []
     for N in (2 * bset.period, 4 * bset.period):
         at = (N - len(w)) // 2
@@ -309,3 +310,30 @@ def test_criterion_12_intrinsic_ergodicity_property(moduli, w):
         assert errors == [0, 0], (moduli, w, errors)
     else:
         assert errors[1] < errors[0] and errors[1] <= Fraction(1, 40), (moduli, w, errors)
+
+
+def test_criterion_13_spectral_atoms():
+    # For pairwise coprime B the correlation c(k) = nu_eta(x_0 = x_k = 1) is
+    # prod_b (1 - 2/b + [b | k]/b), so its DFT over Z/P has an atom of mass
+    # prod_b ((1 - 1/b)^2 if b | j else 1/b^2) > 0 at every j/P: the Mirsky
+    # measure has pure point spectrum, the group generated by the 1/b.
+    # Under the Bernoulli(p) mask the correlation is p^2 c(k) for k != 0 and
+    # p c(0) at k = 0: every atom is kept, scaled by p^2, beside a Lebesgue
+    # part of mass (p - p^2) c(0).
+    ok, details = True, []
+    for moduli in ([4, 9], [2, 3, 5]):
+        bset = validate_bset(moduli)
+        P = bset.period
+        corr = [mirsky_cylinder(bset, {0, k}) for k in range(P)]
+        formula = [math.prod(1 - Fraction(2, b) + Fraction(k % b == 0, b) for b in moduli) for k in range(P)]
+        masses = [math.prod((1 - Fraction(1, b)) ** 2 if j % b == 0 else Fraction(1, b * b) for b in moduli)
+                  for j in range(P)]
+        dft = [sum(float(c) * cmath.exp(-2j * cmath.pi * j * k / P) for k, c in enumerate(corr)) / P
+               for j in range(P)]
+        atoms = max(abs(d - float(m)) for d, m in zip(dft, masses))
+        masked = [_cylinder(bset.residue_system, CylinderSpec({0: 1, k: 1}), Fraction(1, 2)) for k in range(P)]
+        scaled = [Fraction(1, 2) * corr[0]] + [Fraction(1, 4) * c for c in corr[1:]]
+        ok = ok and corr == formula and min(masses) > 0 and sum(masses) == corr[0]
+        ok = ok and atoms < 1e-12 and masked == scaled
+        details.append(f"{moduli}: {P} exact correlations, {P} atoms within {atoms:.0e}")
+    _report(13, ok, "; ".join(details))

@@ -6,11 +6,15 @@ limit applies to the child only, so a case that tries to allocate
 gigabytes fails there with ``MemoryError`` instead of exhausting the host.
 """
 
+import itertools
 import json
+import math
+import operator
 import os
 import resource
 import sys
 import subprocess
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -142,3 +146,128 @@ def test_far_offsets_are_exact(offset):
     for name, value in far_expected(offset).items():
         # an exact value, or a domain error
         assert got[name] == value or isinstance(got[name], dict) and "error" in got[name], (name, got[name], value)
+
+
+# The residue-system entry points on B = [2, 10^10 + 19], whose large modulus
+# meets no window of the sizes below more than once, on empty and
+# over-budget windows, and on the empty target and zero set of a periodic
+# point.  Each call answers exactly or raises a BFreeError or ValueError.
+BIG = 10**10 + 19
+SWEEP_WINDOWS = [(0, 64), (BIG - 40, BIG + 40), (-BIG - 3, -BIG + 60), (7, 7), (9, 2), (0, 2**31)]
+SWEEP_OMEGA, SWEEP_CLASSES = (1, BIG - 2), ((1,), (0, 5))
+SWEEP_SPECS = [{}, {0: 1, 1: 0}, {0: 1, 2 * BIG: 1, 3: 0, BIG + 1: 0}, {1: 1, 3: 1, BIG: 0, 5: 0, -BIG: 0}]
+SWEEP_PRIMES = [2, BIG]
+SWEEP_VARIANT_WINDOWS = [(0, 64), (6 * BIG - 20, 6 * BIG + 40), (7, 7), (0, 2**31)]
+# (block, target unit, repeats): the target is unit * repeats
+SWEEP_TARGETS = [("110", "", 1), ("110", "1", 2**25), ("1", "1", 2**25), ("110", "110010", 1), ("1", "1101", 1)]
+
+SWEEP_CHILD = """
+import json
+from fractions import Fraction
+from bfree import core, measures, sieve, sturmian
+from bfree.errors import BFreeError
+bset = core.validate_bset([2, {big}])
+profile = sieve.SAProfile(bset, (1, 2), tuple(map(frozenset, {classes})))
+calls = {{}}
+for lo, hi in {windows}:
+    calls[f"eta_window {{lo}} {{hi}}"] = lambda lo=lo, hi=hi: sieve.eta_window(bset, lo, hi).to_string()
+    calls[f"phi_sa_window {{lo}} {{hi}}"] = lambda lo=lo, hi=hi: sieve.phi_sa_window(profile, {omega}, lo, hi).to_string()
+
+    def sample(lo=lo, hi=hi):
+        whole = measures.sample_generalized(profile, 1, lo, hi, 6, 3)
+        masked = measures.sample_generalized(profile, Fraction(1, 3), lo, hi, 6, 3)
+        return whole.omegas.tolist(), [w.to_string() for w in whole.words], bool((masked.bits <= whole.bits).all())
+
+    calls[f"sample_generalized {{lo}} {{hi}}"] = sample
+for i, entries in enumerate({specs}):
+    calls[f"mixed_cylinder {{i}}"] = lambda e=entries: str(measures.mixed_cylinder(bset, core.CylinderSpec(e)))
+for lo, hi in {variant_windows}:
+    system = sturmian.PeriodicHereditarySystem(core.BinaryWord.from_string("110"))
+    calls[f"minimal_subset_variant {{lo}} {{hi}}"] = (
+        lambda lo=lo, hi=hi: sturmian.minimal_subset_variant(system, {primes}, lo, hi).to_string())
+for block, unit, repeats in {targets}:
+    calls[f"mme_block_frequency {{block}} {{unit}} {{repeats}}"] = lambda b=block, t=unit * repeats: str(
+        sturmian.mme_block_frequency(sturmian.PeriodicHereditarySystem(core.BinaryWord.from_string(b)),
+                                     core.BinaryWord.from_string(t), Fraction(1, 2)))
+out = {{}}
+for name, call in calls.items():
+    try:
+        out[name] = call()
+    except (BFreeError, ValueError) as err:
+        out[name] = {{"error": type(err).__name__}}
+print(json.dumps(out))
+""".format(big=BIG, classes=SWEEP_CLASSES, windows=SWEEP_WINDOWS, omega=SWEEP_OMEGA, specs=SWEEP_SPECS,
+           variant_windows=SWEEP_VARIANT_WINDOWS, primes=SWEEP_PRIMES, targets=SWEEP_TARGETS)
+
+
+def sweep_bits(bit, lo, hi):
+    return "".join("1" if bit(n) else "0" for n in range(lo, hi))
+
+
+def sweep_coding(omega, lo, hi):
+    # the profile's coding at omega, by residues of Python ints
+    return sweep_bits(
+        lambda n: all((r + n) % b not in a for r, b, a in zip(omega, (2, BIG), SWEEP_CLASSES)), lo, hi
+    )
+
+
+def sweep_cylinder(entries):
+    # inclusion-exclusion over the zeros of nu(all of A are 1) = prod_b (1 - |A mod b| / b)
+    ones = [n for n, v in entries.items() if v]
+    zeros = [n for n, v in entries.items() if not v]
+    total = Fraction(0)
+    for r in range(len(zeros) + 1):
+        for extra in itertools.combinations(zeros, r):
+            cell = ones + list(extra)
+            total += (-1) ** r * math.prod(Fraction(b - len({n % b for n in cell}), b) for b in (2, BIG))
+    return total
+
+
+def sweep_variant(lo, hi):
+    # block n of the period-3 point 110 is zeroed when n == k - 1 (mod P_k) and n != k - 1
+    products = list(itertools.accumulate(SWEEP_PRIMES, operator.mul))
+    zeroed = lambda n: any(n % P == (k - 1) % P and n != k - 1 for k, P in enumerate(products, start=1))
+    return sweep_bits(lambda n: n % 3 != 2 and not zeroed(n // 3), lo, hi)
+
+
+def sweep_frequency(block, target):
+    # uniform phase j, then each 1 of the periodic window kept w.p. 1/2
+    c, total = len(block), Fraction(0)
+    for j in range(c):
+        window = [block[(j + i) % c] == "1" for i in range(len(target))]
+        if all(w or t == "0" for w, t in zip(window, target)):
+            total += Fraction(1, 2) ** sum(window)
+    return total / c
+
+
+def test_residue_system_sweep():
+    result = run_limited(["-c", SWEEP_CHILD])
+    assert result.returncode == 0, result.stderr[-2000:]
+    got = json.loads(result.stdout)
+    expected = {}
+    for lo, hi in SWEEP_WINDOWS:
+        if hi <= lo:
+            error = "ValueError"
+        elif hi - lo > 2**30 or 6 * (hi - lo) > 2**30:
+            error = "WindowTooLarge"
+        else:
+            error = None
+        for name in ("eta_window", "phi_sa_window", "sample_generalized"):
+            expected[f"{name} {lo} {hi}"] = {"error": error} if error else None
+        if not error:
+            expected[f"eta_window {lo} {hi}"] = sweep_bits(lambda n: n % 2 and n % BIG, lo, hi)
+            expected[f"phi_sa_window {lo} {hi}"] = sweep_coding(SWEEP_OMEGA, lo, hi)
+            omegas, rows, dominated = got[f"sample_generalized {lo} {hi}"]
+            assert dominated and all(0 <= r < b for o in omegas for r, b in zip(o, (2, BIG)))
+            expected[f"sample_generalized {lo} {hi}"] = [omegas, [sweep_coding(o, lo, hi) for o in omegas], True]
+    for i, entries in enumerate(SWEEP_SPECS):
+        expected[f"mixed_cylinder {i}"] = str(sweep_cylinder(entries))
+    for lo, hi in SWEEP_VARIANT_WINDOWS:
+        error = "ValueError" if hi <= lo else "WindowTooLarge" if hi - lo > 2**30 else None
+        expected[f"minimal_subset_variant {lo} {hi}"] = {"error": error} if error else sweep_variant(lo, hi)
+    for block, unit, repeats in SWEEP_TARGETS:
+        target = unit * repeats
+        error = "ValueError" if not target else "BudgetExceeded" if len(target) > 2**24 else None
+        name = f"mme_block_frequency {block} {unit} {repeats}"
+        expected[name] = {"error": error} if error else str(sweep_frequency(block, target))
+    assert got == expected

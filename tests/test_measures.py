@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from bfree import measures
 from bfree.cli import main
-from bfree.core import BinaryWord, CylinderSpec, OdometerPoint, squarefree_family, validate_bset
+from bfree.core import BinaryWord, CylinderSpec, OdometerPoint, Residues, squarefree_family, validate_bset
 from bfree.errors import EmptySupport, LengthMismatch, TooManyZeros, WindowTooLarge
 from bfree.measures import (
     GENERATOR_ID,
@@ -264,7 +264,7 @@ class TestCylinderCore:
     @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
     def test_matches_period_enumeration(self, p, system, entries):
         moduli, classes = system
-        value = measures._cylinder(moduli, classes, CylinderSpec(entries), p)
+        value = measures._cylinder(Residues(moduli, classes), CylinderSpec(entries), p)
         assert value == enumerated_cylinder(moduli, classes, entries, p)
 
 
@@ -423,16 +423,16 @@ class TestSamplerContractV2:
         # odometer is cyclic and P <= count, otherwise every row
         calls, sieve = [], measures._sieve
 
-        def record(lo, hi, moduli, classes, omegas):
+        def record(lo, hi, residues, omegas):
             calls.append((len(omegas), hi - lo))
-            return sieve(lo, hi, moduli, classes, omegas)
+            return sieve(lo, hi, residues, omegas)
 
         monkeypatch.setattr(measures, "_sieve", record)
         sample_mirsky(validate_bset([2, 3]), 0, 20, 20000, seed=1)
         sample_product(ProductMeasureSpec(squarefree_family(4), Fraction(1, 2)), 5, 1005, 4, seed=2)
         sample_periodic_windows(two_mme_system()[0], Fraction(1, 2), 18, 9, seed=3)
         sample_periodic_windows(two_mme_system()[0], Fraction(1, 2), 18, 8, seed=3)
-        _sample((4, 6), [(0,), (0,)], (4, 6), Fraction(1), 0, 10, 100, 4)
+        _sample(Residues((4, 6), (frozenset({0}),) * 2), Fraction(1), 0, 10, 100, 4)
         assert calls == [(1, 6 + 19), (4, 1000), (1, 9 + 17), (8, 18), (100, 10)]
 
     def test_window_errors_before_any_draw(self, monkeypatch):
@@ -441,7 +441,7 @@ class TestSamplerContractV2:
 
         monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", 3 * 64 * 900)
         monkeypatch.setattr(measures, "_words", draw)
-        mods, classes = (4, 9, 25), [(0,)] * 3
+        residues = validate_bset([4, 9, 25]).residue_system
         for lo, hi, count, error in [
             (0, 64 * 900, -1, ValueError),
             (5, 5, 3, ValueError),
@@ -452,16 +452,16 @@ class TestSamplerContractV2:
             (0, 64 * 3, 901, WindowTooLarge),
         ]:
             with pytest.raises(error):
-                _sample(mods, classes, mods, Fraction(1, 2), lo, hi, count, 0)
+                _sample(residues, Fraction(1, 2), lo, hi, count, 0)
         # int64 points hold coordinates below 2^63 only
         for m in (2**63, 2**63 + 1, 2**64 + 1):
             with pytest.raises(ValueError, match=f"modulus {m} is not below 2\\^63"):
-                _sample((m,), [(0,)], (m,), Fraction(1), 0, 4, 2, 0)
+                _sample(Residues((m,), (frozenset({0}),)), Fraction(1), 0, 4, 2, 0)
 
     def test_wheel_blocks_are_read_only(self):
         bset = validate_bset([4, 9, 25])
         for p in (Fraction(1), Fraction(1, 2)):
-            block, omegas = _sample(bset.moduli, [(0,)] * 3, bset.moduli, p, 0, 64 * 900 + 3, 3, 5)
+            block, omegas = _sample(bset.residue_system, p, 0, 64 * 900 + 3, 3, 5)
             assert not block.flags.writeable and not omegas.flags.writeable
         batch = sample_mirsky(bset, 0, 64 * 900 + 3, 2, seed=1)
         with pytest.raises(ValueError):
@@ -522,7 +522,7 @@ class TestSamplerContractV2:
         shares = np.bincount(batch.bits @ np.array([8, 4, 2, 1]), minlength=16) / count
         for code, share in enumerate(shares.tolist()):
             pattern = {lo + i: code >> (3 - i) & 1 for i in range(4)}
-            exact = float(measures._cylinder(bset.moduli, prof.a, CylinderSpec(pattern), half))
+            exact = float(measures._cylinder(prof.residue_system, CylinderSpec(pattern), half))
             sigma = math.sqrt(exact * (1 - exact) / count)
             assert abs(share - exact) <= 4 * sigma, (pattern, share, exact)
 
@@ -734,7 +734,7 @@ class TestSamplerContractV3:
             shares = np.bincount(2 * bits[:, n] + bits[:, n + 1], minlength=4) / count
             for code, share in enumerate(shares.tolist()):
                 spec = CylinderSpec({n: code >> 1, n + 1: code & 1})
-                exact = float(measures._cylinder(bset.moduli, [(0,), (0,)], spec, half))
+                exact = float(measures._cylinder(bset.residue_system, spec, half))
                 sigma = math.sqrt(exact * (1 - exact) / count)
                 assert abs(share - exact) <= 4 * sigma, (n, code, share, exact)
 

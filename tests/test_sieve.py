@@ -194,7 +194,7 @@ def assert_sampled_rows(profile, lo, span, counts, seed):
     moduli, hi = profile.bset.moduli, lo + span
     times, step = counts
     count = times * math.prod(profile.odometer_moduli) + step
-    block, omegas = _sample(moduli, profile.a, profile.odometer_moduli, Fraction(1), lo, hi, count, seed)
+    block, omegas = _sample(profile.residue_system, Fraction(1), lo, hi, count, seed)
     assert block.shape == (count, span)
     oracle = {}
     for row, omega in zip(block, map(tuple, omegas.tolist())):
@@ -370,7 +370,7 @@ class TestSegmentedSieve:
     def test_empty_block_of_long_rows(self):
         # zero rows pass any budget, however long the rows
         sf4 = squarefree_family(4)
-        block, omegas = _sample(sf4.moduli, [(0,)] * 4, sf4.moduli, Fraction(1), 0, 2**62, 0, 1)
+        block, omegas = _sample(sf4.residue_system, Fraction(1), 0, 2**62, 0, 1)
         assert block.shape == (0, 2**62) and omegas.shape == (0, 4)
 
     def test_multi_segment_budget_refused_before_allocation(self, monkeypatch):
@@ -390,4 +390,4 @@ class TestSegmentedSieve:
         with pytest.raises(WindowTooLarge):
             eta_window(sf4, 5, 5 + budget + 1)
         with pytest.raises(WindowTooLarge):
-            _sample(sf4.moduli, [(0,)] * 4, sf4.moduli, Fraction(1), 0, budget // 2 + 1, 2, 9)
+            _sample(sf4.residue_system, Fraction(1), 0, budget // 2 + 1, 2, 9)

@@ -565,7 +565,7 @@ class TestTwoMME:
         block = "0" + "".join(map(str, rng.integers(0, 2, 998))) + "1"
         system = PeriodicHereditarySystem(BinaryWord.from_string(block))
         bits = system.window(17, 2017).bits & rng.integers(0, 2, 2000).astype(np.uint8)
-        assert len(system._zeros) * 2000 <= measures.MAX_COVER_SETUP
+        assert len(system.residue_system.classes[0]) * 2000 <= measures.MAX_COVER_SETUP
         assert mme_block_frequency(system, BinaryWord(bits), Fraction(1, 2)) > 0
 
     def test_sampler_matches_exact_law(self):
@@ -770,19 +770,20 @@ class TestMinimalSubsetVariant:
             assert np.array_equal(w.bits, _zeroed_by_index(system, primes, lo, hi))
 
     def test_a_few_bytes_per_position(self):
-        # the periodic window and the block-padded copy that is zeroed in
-        # place: a byte per position each, with no mask and no np.where result
-        system = PeriodicHereditarySystem(BinaryWord.from_string("101001000"))
+        # one sieved window, a byte per position, with no per-block flags
+        # and no block-padded copy; a one-bit block (c = 1) has one block
+        # per position, so flags would cost as much as the window
         lo, size = -(10**12), 1 << 20
-        minimal_subset_variant(system, [2, 3, 5, 7], lo, lo + 64)
-        tracemalloc.start()
-        try:
-            minimal_subset_variant(system, [2, 3, 5, 7], lo, lo + size)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # plus one flag byte per 9-bit block
-        assert peak <= 2 * size + size // 8
+        for block in ("101001000", "1"):
+            system = PeriodicHereditarySystem(BinaryWord.from_string(block))
+            minimal_subset_variant(system, [2, 3, 5, 7], lo, lo + 64)
+            tracemalloc.start()
+            try:
+                minimal_subset_variant(system, [2, 3, 5, 7], lo, lo + size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= size + size // 4, (block, peak)
 
     def test_zeroes_even_blocks(self):
         a, _ = two_mme_system()
