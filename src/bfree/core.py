@@ -2,10 +2,13 @@
 words, cylinders.
 
 All types are immutable after construction and safe to share between
-threads.  Rationals are exact (:class:`fractions.Fraction`); bit sequences
-are numpy uint8 arrays marked read-only.  numpy is imported only by the
-functions that build or read those arrays, so the integer types (moduli
-sets, odometer points, cylinders) load and run without it.
+threads.  Rationals are exact (:class:`fractions.Fraction`).  A binary
+word holds read-only numpy uint8 arrays: its bits packed, one bit per
+position, or one byte per position, or both; it derives a missing form
+once, on first use (two threads that race there build equal arrays, and
+one is kept).  numpy is imported only by the functions that build or
+read those arrays, so the integer types (moduli sets, odometer points,
+cylinders) load and run without it.
 """
 
 from __future__ import annotations
@@ -197,10 +200,16 @@ class BinaryWord:
     """A finite 0/1 block with an integer base offset.
 
     ``bits[i]`` is the symbol at absolute coordinate ``offset + i``.  The
-    support is the set of absolute coordinates carrying a 1.
+    support is the set of absolute coordinates carrying a 1.  A sieved
+    window is stored packed, eight positions to a byte in little-endian bit
+    order with zero padding (the format of :meth:`pack`), so it costs one
+    bit per position; a word built from a byte array keeps that array.
+    Each form is derived from the other once, on first use: ``bits`` is the
+    unpacked read-only uint8 array, and comparisons, hashing, ``ones`` and
+    :meth:`dominated_by` read the packed bytes.
     """
 
-    __slots__ = ("offset", "bits")
+    __slots__ = ("_data", "_bits", "_length", "offset")
 
     def __init__(self, bits, offset: int = 0):
         import numpy as np
@@ -211,21 +220,49 @@ class BinaryWord:
             raise ValueError("bits must be 0/1")
         arr = arr.copy()
         arr.setflags(write=False)
-        self.bits = arr
-        self.offset = int(offset)
+        self._data, self._bits, self._length, self.offset = None, arr, arr.size, int(offset)
 
     @classmethod
-    def _views(cls, rows, offsets) -> tuple["BinaryWord", ...]:
-        # Trusted constructor for package kernels: each row is already a
-        # read-only 1-D uint8 array of 0/1 and each offset an int, so both
+    def _trusted(cls, data, bits, length: int, offset: int) -> "BinaryWord":
+        # Trusted constructor for package kernels: ``data``, the word's
+        # (length + 7) // 8 packed bytes with zero padding, or ``bits``, the
+        # word unpacked, or both, each read-only, and an int offset; all
         # are taken as they are, without a copy or a scan.
-        new = object.__new__
-        words = []
-        for bits, offset in zip(rows, offsets):
+        word = object.__new__(cls)
+        word._data, word._bits, word._length, word.offset = data, bits, length, offset
+        return word
+
+    @classmethod
+    def _views(cls, rows, offset: int) -> tuple["BinaryWord", ...]:
+        # Trusted constructor for package kernels: each row is already a
+        # read-only 1-D uint8 array of 0/1 and the offset an int, so the
+        # rows are kept as the words' bits, without a copy or a scan.
+        new, words = object.__new__, []
+        for bits in rows:
             word = new(cls)
-            word.bits, word.offset = bits, offset
+            word._data, word._bits, word._length, word.offset = None, bits, len(bits), offset
             words.append(word)
         return tuple(words)
+
+    @property
+    def _packed(self):
+        # the packed bytes, packed from the bits on first use
+        if self._data is None:
+            import numpy as np
+            data = np.packbits(self._bits, bitorder="little")
+            data.setflags(write=False)
+            self._data = data
+        return self._data
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The symbols as a read-only uint8 array, unpacked on first use."""
+        if self._bits is None:
+            import numpy as np
+            bits = np.unpackbits(self._data, count=self._length, bitorder="little")
+            bits.setflags(write=False)
+            self._bits = bits
+        return self._bits
 
     @classmethod
     def from_string(cls, text: str, offset: int = 0) -> "BinaryWord":
@@ -246,16 +283,18 @@ class BinaryWord:
         return cls(bits, lo)
 
     def __len__(self) -> int:
-        return self.bits.size
+        return self._length
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryWord):
             return NotImplemented
         import numpy as np
-        return self.offset == other.offset and np.array_equal(self.bits, other.bits)
+        return (self.offset, self._length) == (other.offset, other._length) and np.array_equal(
+            self._packed, other._packed
+        )
 
     def __hash__(self):
-        return hash((self.offset, self.bits.tobytes()))
+        return hash((self.offset, self._length, self._packed.tobytes()))
 
     def __repr__(self):
         return f"BinaryWord({self.to_string()!r}, offset={self.offset})"
@@ -269,18 +308,18 @@ class BinaryWord:
         coordinate of the word fits one, exact Python ints (object dtype)
         otherwise."""
         index = self.bits.nonzero()[0]
-        if -(1 << 63) <= self.offset <= (1 << 63) - len(self.bits):
+        if -(1 << 63) <= self.offset <= (1 << 63) - len(self):
             return index + self.offset
         return index.astype(object) + self.offset
 
     @property
     def ones(self) -> int:
         import numpy as np
-        return int(np.count_nonzero(self.bits))
+        return int(np.bitwise_count(self._packed).sum())
 
     def shifted(self, t: int) -> "BinaryWord":
         """Same bits, offset moved by t; support moves by t exactly."""
-        return BinaryWord(self.bits, self.offset + t)
+        return BinaryWord._trusted(self._data, self._bits, self._length, self.offset + t)
 
     def dominated_by(self, other: "BinaryWord") -> bool:
         """Coordinatewise <= against a word with the same offset and length."""
@@ -289,7 +328,7 @@ class BinaryWord:
                 f"words not aligned: offsets {self.offset}/{other.offset}, "
                 f"lengths {len(self)}/{len(other)}"
             )
-        return bool((self.bits <= other.bits).all())
+        return not (self._packed & ~other._packed).any()
 
     def density(self) -> Fraction:
         if not len(self):
@@ -306,16 +345,20 @@ class BinaryWord:
 
     def pack(self) -> bytes:
         """Bit-packed dump, little-endian bit order within bytes."""
-        import numpy as np
-        return np.packbits(self.bits, bitorder="little").tobytes()
+        return self._packed.tobytes()
 
     @classmethod
     def unpack(cls, data: bytes, length: int, offset: int = 0) -> "BinaryWord":
+        """The word of :meth:`pack`'s ``data``: exactly (length + 7) // 8
+        bytes, whose bits past ``length`` are ignored."""
+        if length < 0 or len(data) != (length + 7) // 8:
+            raise ValueError(f"{len(data)} bytes do not pack {length} bits")
         import numpy as np
-        bits = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8), count=length, bitorder="little"
-        )
-        return cls(bits, offset)
+        packed = np.frombuffer(data, dtype=np.uint8).copy()
+        if length % 8:
+            packed[-1] &= (1 << length % 8) - 1
+        packed.setflags(write=False)
+        return cls._trusted(packed, None, length, int(offset))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from . import sieve
-from .core import BinaryWord, BSet, OdometerPoint
+from .core import BinaryWord, BSet, OdometerPoint, crt_free_count
 from .errors import DivisiblePrecondition, NotCoprimeToC, SearchBudgetExceeded
 from .sieve import phi_window
 
@@ -140,11 +140,12 @@ def density_estimate(bset: BSet, c: int, r: int, horizon: int) -> float:
     c invertible mod b_k, b_k divides s*c + r for exactly one class
     s == -r c^-1 (mod b_k), so the count is a sieve over s in exact integer
     arithmetic: no product s*c + r is formed, and c, r and the moduli may
-    have any size.  That coding is P-periodic in s, so with horizon = qP + t
-    the count is q times the ones of one sieved period W plus the ones of
-    W's first t bits: only P bits are sieved, and the count is the exact
-    count over [1, horizon].  Raises :class:`WindowTooLarge` before
-    allocating when horizon exceeds ``sieve.MAX_WINDOW_BITS``.
+    have any size.  That coding is P-periodic in s, and the moduli are
+    coprime, so each period holds exactly prod(b_k - 1) ones
+    (:func:`crt_free_count`).  With horizon = qP + t the count is q times
+    that plus the ones of the sieved first t bits, and nothing is sieved
+    when t = 0; the count is the exact count over [1, horizon].  Raises
+    :class:`WindowTooLarge` when horizon exceeds ``sieve.MAX_WINDOW_BITS``.
     """
     for b in bset.moduli:
         if math.gcd(c, b) != 1:
@@ -154,6 +155,5 @@ def density_estimate(bset: BSet, c: int, r: int, horizon: int) -> float:
     sieve._check_window(1, horizon + 1)
     # phi_window strikes s == -omega(k), i.e. omega(k) = r c^-1 (mod b_k)
     omega = OdometerPoint(bset, tuple(r * pow(c, -1, b) for b in bset.moduli))
-    period = phi_window(omega, 1, 1 + bset.period)
     q, t = divmod(horizon, bset.period)
-    return (q * period.ones + int(period.bits[:t].sum())) / horizon
+    return (q * crt_free_count(bset) + (phi_window(omega, 1, 1 + t).ones if t else 0)) / horizon

@@ -266,7 +266,7 @@ class SampleBatch:
 
     @cached_property
     def words(self) -> tuple[BinaryWord, ...]:
-        return BinaryWord._views(self.bits, [self.lo] * len(self.bits))
+        return BinaryWord._views(self.bits, self.lo)
 
     def metadata_json(self) -> str:
         return json.dumps(

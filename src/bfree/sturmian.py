@@ -232,7 +232,7 @@ def sturmian_window(coding: RotationCoding, lo: int, hi: int) -> BinaryWord:
         for j in np.flatnonzero(near).tolist():
             out[j] = _exact_bit(coding, start + j, ends, thresholds)
     bits.setflags(write=False)
-    return BinaryWord._views([bits], [int(lo)])[0]
+    return BinaryWord._trusted(None, bits, hi - lo, int(lo))
 
 
 def collect_blocks(coding: RotationCoding, n: int) -> set[str]:
@@ -489,7 +489,7 @@ def minimal_subset_variant(
             start, stop = max(lo, k * c - c), min(hi, k * c)
             bits[start - lo : stop - lo] = system.window(start, stop).bits
     bits.setflags(write=False)
-    return BinaryWord._views([bits], [int(lo)])[0]
+    return BinaryWord._trusted(None, bits, hi - lo, int(lo))
 
 
 def close_alpha_block_containment(alpha, beta, n: int) -> bool:

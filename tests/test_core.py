@@ -190,6 +190,69 @@ class TestBinaryWord:
             w.bits[0] = 1
 
 
+# SHA-256 of the pack() bytes of PACK_WORDS, taken before words were stored packed.
+PACK_DIGEST = "d5e16b31c4091a47fa0f58cbee243fc9a07b62aab725b4a1fda64354bf555bd6"
+
+
+def pack_words():
+    from bfree import ProductMeasureSpec, RotationCoding, SAProfile, sample_product, sturmian_window
+    from bfree.sieve import eta_window, phi_sa_window, phi_window
+    from bfree.sturmian import PeriodicHereditarySystem, minimal_subset_variant
+
+    sf4 = squarefree_family(4)
+    profile = SAProfile(validate_bset([4, 9]), (2, 3), (frozenset({0, 2}), frozenset({1, 4, 7})))
+    return [
+        eta_window(sf4, -(10**20), -(10**20) + 100_003),
+        eta_window(squarefree_family(8), 2**63 - 5, 2**63 + 3 * 2**20 + 5),
+        phi_window(OdometerPoint(sf4, (1, 2, 3, 4)), 7, 7 + 64 * 900 + 13),
+        phi_sa_window(profile, (1, 5), -5, 1001),
+        *sample_product(ProductMeasureSpec(sf4, Fraction(1, 3)), 3, 3 + 77, 5, seed=9).words,
+        sturmian_window(RotationCoding.golden(), -1000, 12_345),
+        minimal_subset_variant(PeriodicHereditarySystem(BinaryWord.from_string("101001000")), [2, 3, 5], 0, 10**5 + 1),
+        BinaryWord.from_string("1011000110100"),
+    ]
+
+
+class TestPackedStore:
+    """A word is stored as the bytes of pack(): eight positions to a byte,
+    little-endian bit order, zero padding."""
+
+    def test_pack_bytes_unchanged(self):
+        import hashlib
+
+        assert hashlib.sha256(b"".join(w.pack() for w in pack_words())).hexdigest() == PACK_DIGEST
+
+    @given(st.text(alphabet="01", max_size=40), st.text(alphabet="01", max_size=40), st.integers(-(2**70), 2**70))
+    def test_byte_operations_match_the_string(self, text, other, offset):
+        w = BinaryWord.from_string(text, offset)
+        data = w.pack()
+        assert len(data) == (len(text) + 7) // 8 and len(w) == len(text)
+        assert int.from_bytes(data, "little") == int(text[::-1] or "0", 2)
+        assert w.ones == text.count("1")
+        assert BinaryWord.unpack(data, len(text), offset) == w
+        if other and len(other) == len(text):
+            v = BinaryWord.from_string(other, offset)
+            assert w.dominated_by(v) == all(a <= b for a, b in zip(text, other))
+            assert (w == v) == (text == other)
+        assert w.shifted(3).pack() == data and w.shifted(3).offset == offset + 3
+
+    def test_unpack_ignores_padding_and_checks_size(self):
+        w = BinaryWord.unpack(b"\xff\x0d", 11, 4)
+        assert w == BinaryWord.from_string("11111111101", 4)
+        assert w.pack() == b"\xff\x05"
+        assert BinaryWord.unpack(b"", 0).pack() == b"" and len(BinaryWord.unpack(b"", 0)) == 0
+        for data, length in ((b"\x01", 9), (b"\x01\x00", 8), (b"", 1), (b"\x01", -1)):
+            with pytest.raises(ValueError):
+                BinaryWord.unpack(data, length)
+
+    def test_bits_unpacked_once(self):
+        from bfree.sieve import eta_window
+
+        w = eta_window(squarefree_family(3), 10**9, 10**9 + 10**6)
+        assert w.bits is w.bits and not w.bits.flags.writeable
+        assert w.shifted(2).bits is w.bits
+
+
 class TestCylinderSpec:
     def test_split(self):
         spec = CylinderSpec({0: 1, 2: 0, 5: 1})

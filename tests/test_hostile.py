@@ -271,3 +271,42 @@ def test_residue_system_sweep():
         name = f"mme_block_frequency {block} {unit} {repeats}"
         expected[name] = {"error": error} if error else str(sweep_frequency(block, target))
     assert got == expected
+
+
+# A window at the bit budget answers, one bit per position, and one bit
+# more is refused before any work.
+BUDGET_CHILD = """
+import json, resource, time
+import numpy as np
+from bfree import core, sieve
+from bfree.errors import WindowTooLarge
+sf8 = core.squarefree_family(8)
+limit = sieve.MAX_WINDOW_BITS
+word = sieve.eta_window(sf8, 0, limit)
+packed = np.frombuffer(word.pack(), dtype=np.uint8)
+rng = np.random.default_rng(27)
+idx = np.concatenate([np.arange(4096), np.arange(limit - 4096, limit), rng.integers(0, limit, 10**5)])
+bits = (packed[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
+t = time.perf_counter()
+try:
+    sieve.eta_window(sf8, 0, limit + 1)
+    refused = None
+except WindowTooLarge:
+    refused = time.perf_counter() - t
+print(json.dumps({"length": len(word), "bytes": int(packed.size), "idx": idx.tolist(), "bits": bits.tolist(),
+                  "refused_s": refused, "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def test_window_at_the_bit_budget():
+    result = run_limited(["-c", BUDGET_CHILD])
+    assert result.returncode == 0, result.stderr[-2000:]
+    got = json.loads(result.stdout)
+    limit = 2**30
+    assert got["length"] == limit and got["bytes"] == limit // 8
+    moduli = [p * p for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+    assert got["bits"] == [int(all(n % b for b in moduli)) for n in got["idx"]]
+    assert got["refused_s"] is not None and got["refused_s"] < 1
+    # the packed window and its pack() copy are 128 MiB each; one byte per
+    # position would have needed 1 GiB
+    assert got["max_rss_mb"] < 400, got["max_rss_mb"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfree import inclusion
 from bfree.admissibility import is_admissible
 from bfree.core import BSet, OdometerPoint, squarefree_family, validate_bset
 from bfree.errors import DivisiblePrecondition, NotCoprimeToC, WindowTooLarge
@@ -225,6 +226,21 @@ class TestDensityEstimate:
         sf3, c, r = squarefree_family(3), 7, 10**20 + 3
         omega = OdometerPoint(sf3, tuple(r * pow(c, -1, b) for b in sf3.moduli))
         assert density_estimate(sf3, c, r, horizon) == phi_window(omega, 1, horizon + 1).ones / horizon
+
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("t", [0, 1, 899])
+    def test_only_the_tail_is_sieved(self, monkeypatch, q, t):
+        # each period holds prod(b_k - 1) ones, so horizon qP + t sieves only
+        # its t-bit tail (nothing at t = 0); the count equals the one of a
+        # sieved full period, q times, plus that period's first t bits
+        bset, c, r = validate_bset([4, 9, 25]), 7, 10**20 + 3
+        omega = OdometerPoint(bset, tuple(r * pow(c, -1, b) for b in bset.moduli))
+        period = phi_window(omega, 1, 901)
+        expected = (q * period.ones + int(period.bits[:t].sum())) / (900 * q + t)
+        sieved = []
+        monkeypatch.setattr(inclusion, "phi_window", lambda *args: sieved.append(args[1:]) or phi_window(*args))
+        assert density_estimate(bset, c, r, 900 * q + t) == expected
+        assert sieved == ([(1, 1 + t)] if t else [])
 
     @given(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30), st.integers(30, 200))
     @settings(max_examples=50)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bfree.core import BinaryWord, BSet, OdometerPoint, squarefree_family, validate_bset
+from bfree.core import BinaryWord, BSet, OdometerPoint, Residues, squarefree_family, validate_bset
 from bfree.errors import EmptyWord, WindowTooLarge
-from bfree.measures import _sample
-from bfree.sieve import SAProfile, eta_window, phi_sa_window, phi_window
+from bfree.measures import _sample, sample_mirsky
+from bfree.sieve import _SEGMENT_BYTES, SAProfile, _sieve, eta_window, phi_sa_window, phi_window
 from sieve_oracle import coding_oracle
 
 
@@ -296,7 +296,12 @@ class TestWheelSieve:
         ):
             with pytest.raises(ValueError):
                 word.bits[0] = 1
-            assert not word.bits.base.flags.writeable
+            # neither the bits nor any array they view, nor the packed store
+            array = word.bits
+            while isinstance(array, np.ndarray):
+                assert not array.flags.writeable
+                array = array.base
+            assert not word._packed.flags.writeable
 
 
 class TestSegmentedSieve:
@@ -391,3 +396,121 @@ class TestSegmentedSieve:
             eta_window(sf4, 5, 5 + budget + 1)
         with pytest.raises(WindowTooLarge):
             _sample(sf4.residue_system, Fraction(1), 0, budget // 2 + 1, 2, 9)
+
+
+def assert_packed(word, expected):
+    """``word`` holds exactly the bits ``expected``, packed with zero padding."""
+    length = len(expected)
+    assert len(word) == length and word.ones == int(expected.sum())
+    data = word.pack()
+    assert data == np.packbits(expected, bitorder="little").tobytes()
+    assert len(data) == (length + 7) // 8
+    if length % 8:
+        assert data[-1] >> length % 8 == 0
+    assert np.array_equal(word.bits, expected)
+
+
+class TestPackedWindows:
+    """A window is packed one segment at a time into (L + 7) // 8 bytes.
+
+    With the segment shrunk to 64-700 bytes, windows of m segments plus or
+    minus up to 8 bits end at every L mod 8 and cross segment boundaries;
+    with ``_WHEEL_MAX`` at 1 no wheel is built.  The examples run at the
+    real segment size.
+    """
+
+    @given(
+        profiles(),
+        st.lists(st.integers(-(10**20), 10**20), min_size=4, max_size=4),
+        st.sampled_from([0, 2**63, -(2**63), -(10**20)]),
+        st.integers(-9, 9),
+        st.integers(64, 700),
+        st.integers(1, 3),
+        st.integers(-8, 8),
+        st.booleans(),
+        st.sampled_from(["eta", "phi", "phi_sa"]),
+    )
+    @example(SAProfile.plain(squarefree_family(4)), [3] * 4, -(2**63), 0, None, 1, -3, True, "eta")
+    @example(SAProfile.plain(squarefree_family(4)), [5] * 4, -(10**20), 1, None, 1, 5, False, "phi")
+    @example(SAProfile.plain(validate_bset([2, 3, 5, 7])), [0] * 4, 2**63, -2, None, 2, 7, True, "eta")
+    @settings(max_examples=60, deadline=None)
+    def test_packed_windows_match_modular_oracle(self, profile, residues, base, shift, segment, m, k, wheel, kind):
+        # segment None, in the examples only, keeps the real _SEGMENT_BYTES
+        span = max(1, m * (segment or _SEGMENT_BYTES) + k)
+        bset, lo = profile.bset, base + shift
+        residues, classes = residues[: len(bset)], [(0,)] * len(bset)
+        with pytest.MonkeyPatch.context() as patch:
+            if segment is not None:
+                patch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
+            if not wheel:
+                patch.setattr("bfree.sieve._WHEEL_MAX", 1)
+            if kind == "eta":
+                residues = [0] * len(bset)
+                word = eta_window(bset, lo, lo + span)
+            elif kind == "phi":
+                word = phi_window(OdometerPoint(bset, residues), lo, lo + span)
+            else:
+                classes = profile.a
+                word = phi_sa_window(profile, residues, lo, lo + span)
+        assert word.offset == lo
+        assert_packed(word, coding_oracle(bset.moduli, classes, residues, lo, lo + span))
+
+    @given(
+        st.lists(st.integers(2, 300), min_size=1, max_size=3),
+        st.integers(-(2**64), 2**64),
+        st.integers(1, 3000),
+        st.integers(64, 400),
+        st.sampled_from([1, 256]),
+        st.sampled_from([1, 3, -3]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_class_runs_match_modular_oracle(self, drawn, lo, span, segment, run_span, rows, data):
+        # one run of consecutive classes per modulus, wrapping past b - 1 or
+        # not, struck as a 2-D zeroing (every run of 2 or more with
+        # _RUN_SPAN at 1), in the wheel once span >= 64 b_1; three rows at
+        # one point form one all-rows group, three at distinct points
+        # (rows = -3) strike each class on its own
+        moduli = []
+        for b in sorted(set(drawn)):
+            if all(math.gcd(b, c) == 1 for c in moduli):
+                moduli.append(b)
+        classes = []
+        for b in moduli:
+            first, run = data.draw(st.integers(0, b - 1)), data.draw(st.integers(1, b - 1))
+            classes.append(frozenset((first + i) % b for i in range(run)))
+        points = [[data.draw(st.integers(0, b - 1)) for b in moduli] for _ in range(abs(rows))]
+        if rows > 0:
+            points = [points[0]] * rows
+        residues = Residues(tuple(moduli), tuple(classes))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
+            patch.setattr("bfree.sieve._RUN_SPAN", run_span)
+            block = _sieve(lo, lo + span, residues, np.array(points, dtype=object))
+            packed = _sieve(lo, lo + span, residues, np.array(points[:1], dtype=object), packed=True)
+        for row, point in zip(block, points):
+            assert np.array_equal(row, coding_oracle(moduli, classes, point, lo, lo + span))
+        assert packed.tobytes() == np.packbits(block[0], bitorder="little").tobytes()
+
+    def test_words_agree_across_constructors(self):
+        # one set of bits reached six ways gives equal words with equal hashes
+        bset, lo, hi = validate_bset([4, 9]), -(10**20) - 3, -(10**20) + 61
+        batch = sample_mirsky(bset, lo, hi, 40, seed=5)
+        row = batch.words[7]
+        sieved = phi_window(OdometerPoint(bset, tuple(batch.omegas[7].tolist())), lo, hi)
+        same = [
+            sieved,
+            row,
+            BinaryWord.from_string(row.to_string(), lo),
+            BinaryWord.from_support(row.support.tolist(), lo, hi),
+            BinaryWord.unpack(sieved.pack(), hi - lo, lo),
+            BinaryWord(np.array(row.bits), lo),
+            sieved.shifted(5).shifted(-5),
+        ]
+        for word in same:
+            assert word == sieved and hash(word) == hash(sieved)
+        assert len({*same}) == 1
+        # the same bytes with another length or offset are another word
+        assert sieved != sieved.shifted(1)
+        assert BinaryWord.from_string("1") != BinaryWord.from_string("10")
+        assert BinaryWord.from_string("1").pack() == BinaryWord.from_string("10").pack()
