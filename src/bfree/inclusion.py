@@ -144,16 +144,19 @@ def density_estimate(bset: BSet, c: int, r: int, horizon: int) -> float:
     coprime, so each period holds exactly prod(b_k - 1) ones
     (:func:`crt_free_count`).  With horizon = qP + t the count is q times
     that plus the ones of the sieved first t bits, and nothing is sieved
-    when t = 0; the count is the exact count over [1, horizon].  Raises
-    :class:`WindowTooLarge` when horizon exceeds ``sieve.MAX_WINDOW_BITS``.
+    when t = 0; the count is the exact count over [1, horizon], at any
+    horizon.  Raises :class:`WindowTooLarge`, before any work, when the tail
+    t exceeds ``sieve.MAX_WINDOW_BITS``.
     """
     for b in bset.moduli:
         if math.gcd(c, b) != 1:
             raise NotCoprimeToC(f"gcd({c}, {b}) != 1")
     if horizon < bset.period:
         raise ValueError("horizon must be at least the joint period")
-    sieve._check_window(1, horizon + 1)
+    q, t = divmod(horizon, bset.period)
+    if not t:
+        return q * crt_free_count(bset) / horizon
+    sieve._check_window(1, 1 + t)
     # phi_window strikes s == -omega(k), i.e. omega(k) = r c^-1 (mod b_k)
     omega = OdometerPoint(bset, tuple(r * pow(c, -1, b) for b in bset.moduli))
-    q, t = divmod(horizon, bset.period)
-    return (q * crt_free_count(bset) + (phi_window(omega, 1, 1 + t).ones if t else 0)) / horizon
+    return (q * crt_free_count(bset) + phi_window(omega, 1, 1 + t).ones) / horizon

@@ -1,24 +1,31 @@
 """Windowed generation of multiple-free indicator sequences.
 
 Every window is the coding of one residue system (:class:`bfree.core.Residues`)
-at one odometer point, produced by a segmented, wheel-prefilled residue
-sieve.  The smallest moduli, while their product P stays at most
-min(2^16, L // 64), form the wheel: their forbidden classes are struck
-once into a P-column block of ones, which is P-periodic in the position.
-The window is then filled one segment at a time, a column slice of whole
-periods holding about 2^20 bytes: the wheel is tiled into the segment and
-each class of the remaining moduli is struck there by strided assignment
-(a long run of consecutive classes by one 2-D zeroing) while the segment
-is still in cache.  Only a one-row window longer than 2^20 bits is cut; a
-block of several rows is one segment, since cutting it would repeat
-every row group's strike in each segment.  Work is O(L + sum over the
-other moduli of s_k L / b_k) per row, plus one strike call per class run
-and segment, so 10^8-size windows stay feasible.  One kernel strikes a
-whole (rows, L) block of codings at once, one byte per position, as the
-samplers use it.  A window is its one-row case, built in one reused
-segment buffer a multiple of 8 positions wide and packed eight positions
-to a byte as each segment is done, so its memory is L / 8 bytes plus the
-buffer and one (1, P) wheel.
+at one odometer point, produced by one of two segmented residue sieves.
+
+The byte kernel (:func:`_sieve`) strikes a whole (rows, L) block of codings
+at once, one byte per position, as the samplers use it.  The smallest
+moduli, while their product P stays at most min(2^16, L // 64), form the
+wheel: their forbidden classes are struck once into a P-column block of
+ones, which is P-periodic in the position.  The block is then filled one
+segment at a time, a column slice of whole periods holding about 2^20
+bytes: the wheel is tiled into the segment and each class of the remaining
+moduli is struck there by strided assignment (a long run of consecutive
+classes by one 2-D zeroing) while the segment is still in cache.  Only a
+one-row block longer than 2^20 bits is cut; a block of several rows is one
+segment, since cutting it would repeat every row group's strike in each
+segment.  Work is O(L + sum over the other moduli of s_k L / b_k) per row,
+plus one strike call per class run and segment.  A window of at most 2^20
+bits is its one-row case and keeps that byte row.
+
+The packed kernel (:func:`_packed_sieve`) builds a longer window eight
+positions to a byte, so its memory is L / 8 bytes.  The moduli up to the
+same cap form groups of joint period at most the cap; each group's coding
+is packed once as a periodic byte mask, and each segment of 2^20 output
+bytes is the first mask tiled and the others ANDed in, one pass per group.
+The few moduli above the cap clear their hits directly.  Work is
+O(L / 8) per group plus O(s_k L / b_k) per modulus above the cap, so
+10^8-size windows take milliseconds.
 """
 
 from __future__ import annotations
@@ -44,15 +51,18 @@ __all__ = [
 # Memory budget for the bits of one window or one batch of windows.
 MAX_WINDOW_BITS = 2**30
 
-# The wheel's period P is at most min(_WHEEL_MAX, L // _WHEEL_REPEATS): P
-# columns stay cache-resident, and tiling pays only once the window repeats
-# the period many times.
+# The wheel's period P, and the joint period of each packed mask group, is
+# at most min(_WHEEL_MAX, L // _WHEEL_REPEATS): P columns stay
+# cache-resident, and tiling pays only once the window repeats the period
+# many times.
 _WHEEL_MAX = 2**16
 _WHEEL_REPEATS = 64
 
-# A one-row window is filled and struck one segment at a time: a column
+# A long one-row block is filled and struck one segment at a time: a column
 # slice of whole wheel periods holding about _SEGMENT_BYTES, so every
-# strike on it lands while the freshly tiled segment is still in cache.
+# strike on it lands while the freshly tiled segment is still in cache.  A
+# window of more than _SEGMENT_BYTES positions is packed, in segments of
+# _SEGMENT_BYTES output bytes, each masked by every group while in cache.
 _SEGMENT_BYTES = 2**20
 
 # A run of r consecutive classes mod b is zeroed as one 2-D view, at a few
@@ -157,16 +167,14 @@ def _strike(segment: np.ndarray, plan, start: int) -> None:
         segment[:, first + periods * b : first + periods * b + run] = 0
 
 
-def _sieve(lo: int, hi: int, residues: Residues, omegas: np.ndarray, packed: bool = False) -> np.ndarray:
+def _sieve(lo: int, hi: int, residues: Residues, omegas: np.ndarray) -> np.ndarray:
     """Writable (rows, hi - lo) uint8 codings, one row per row of ``omegas``.
 
-    Bit (i, n - lo) is 1 iff (omegas[i, k] + n) mod b_k avoids classes[k]
-    for every k.  The wheel moduli are struck into a (rows, P) block; each
-    segment of the window is tiled from it and then struck by the plan of
-    the remaining moduli.  With ``packed``, the one row comes back as its
-    (hi - lo + 7) // 8 bytes in :meth:`BinaryWord.pack`'s format: every
-    segment is built in one reused buffer, a multiple of 8 positions wide,
-    and packed while it is still in cache.
+    The byte kernel, for sampler blocks and lines, for one-segment windows
+    and for the periods of the packed kernel's masks.  Bit (i, n - lo) is 1
+    iff (omegas[i, k] + n) mod b_k avoids classes[k] for every k.  The wheel
+    moduli are struck into a (rows, P) block; each segment of the block is
+    tiled from it and then struck by the plan of the remaining moduli.
     """
     import numpy as np
     moduli, classes = residues.moduli, residues.classes
@@ -181,19 +189,15 @@ def _sieve(lo: int, hi: int, residues: Residues, omegas: np.ndarray, packed: boo
         wheel = np.ones((rows, period), dtype=np.uint8)
         _strike(wheel, _plan_strikes(lo, moduli[:w], classes[:w], omegas[:, :w]), 0)
     plan = _plan_strikes(lo, moduli[w:], classes[w:], omegas[:, w:])
-    # Only a long one-row window is cut: a block of several rows would
+    # Only a long one-row block is cut: a block of several rows would
     # repeat every row group's index-array strike in each segment.
     width = length
     if rows == 1 and length > _SEGMENT_BYTES:
-        unit = math.lcm(period, 8) if packed else period
-        width = max(1, _SEGMENT_BYTES // unit) * unit
-    if packed:
-        out, buffer = _packed_output((length + 7) // 8), np.empty((1, width), dtype=np.uint8)
-    else:
-        out = np.empty((rows, length), dtype=np.uint8)
+        width = max(1, _SEGMENT_BYTES // period) * period
+    out = np.empty((rows, length), dtype=np.uint8)
     for start in range(0, length, width):
         stop = min(start + width, length)
-        segment = buffer[:, : stop - start] if packed else out[:, start:stop]
+        segment = out[:, start:stop]
         if wheel is None:
             # no wheel: a scalar fill, several times faster than tiling a
             # one-column wheel of ones over short rows
@@ -205,16 +209,108 @@ def _sieve(lo: int, hi: int, residues: Residues, omegas: np.ndarray, packed: boo
             segment[:, :tiled].reshape(rows, tiled // period, period)[...] = wheel[:, None, :]
             segment[:, tiled:] = wheel[:, : stop - start - tiled]
         _strike(segment, plan, start)
-        if packed:
-            # start is a multiple of 8, and packbits zeroes the last byte's padding
-            out[start // 8 : (stop + 7) // 8] = np.packbits(segment[0], bitorder="little")
+    return out
+
+
+def _tile(segment: np.ndarray, mask: np.ndarray, start: int, first: bool) -> None:
+    # Write (first) or AND the periodic ``mask`` over ``segment``, the bytes
+    # from ``start`` on of a sequence whose byte 0 is mask[0]: a head up to
+    # the mask's next period, whole periods as one (periods, len(mask))
+    # view, and a tail.
+    size, phase = len(mask), start % len(mask)
+    head = min(len(segment), size - phase)
+    periods = (len(segment) - head) // size
+    body = head + periods * size
+    for part, pattern in (
+        (segment[:head], mask[phase : phase + head]),
+        (segment[head:body].reshape(periods, size), mask),
+        (segment[body:], mask[: len(segment) - body]),
+    ):
+        if first:
+            part[...] = pattern
+        else:
+            part &= pattern
+
+
+def _packed_sieve(residues: Residues, point, lo: int, hi: int) -> np.ndarray:
+    """The coding at ``point`` over [lo, hi) as (hi - lo + 7) // 8 packed bytes.
+
+    The packed kernel, for windows longer than one segment; its bytes are in
+    :meth:`BinaryWord.pack`'s format.  The moduli up to the wheel cap form
+    consecutive groups whose joint period P_g is at most the cap.  The byte
+    kernel strikes each group's coding over lcm(P_g, 8) positions once, and
+    those bytes, packed and repeated up to the cap, are the group's mask:
+    byte j of the window lies at mask byte j mod its length.  Each segment
+    of _SEGMENT_BYTES output bytes is the first mask tiled, then ANDed with
+    every other mask, one pass per group whatever its classes.  A modulus
+    above the cap clears its hits in the segment directly, in a few numpy
+    calls: each class's first hit plus whole periods, one bit each.
+    """
+    import numpy as np
+    length = hi - lo
+    _check_window(lo, hi)
+    cap = min(_WHEEL_MAX, length // _WHEEL_REPEATS)
+    groups, big = [], []  # [joint period, member indices] of each group; big moduli
+    for k, b in enumerate(residues.moduli):
+        if b > cap:
+            big.append(k)
+        elif groups and math.lcm(groups[-1][0], b) <= cap:
+            groups[-1][0] = math.lcm(groups[-1][0], b)
+            groups[-1][1].append(k)
+        else:
+            groups.append([b, [k]])
+    omegas = np.array([point], dtype=object)
+    masks = []
+    for period, members in groups:
+        unit = math.lcm(period, 8)
+        part = Residues(tuple(residues.moduli[k] for k in members), tuple(residues.classes[k] for k in members))
+        row = _sieve(lo, lo + unit, part, omegas[:, members])[0]
+        # repeated to about the cap, so that even a group of period 2 or 3
+        # is ANDed in rows of thousands of bytes, not of one to three
+        masks.append(np.tile(np.packbits(row, bitorder="little"), max(1, cap // unit)))
+    hits = []  # (step, sorted first hit of each class) of each big modulus
+    for k in big:
+        b, r = residues.moduli[k], int(point[k])
+        firsts = sorted(f for f in ((a - r - lo) % b for a in residues.classes[k]) if f < length)
+        if firsts:
+            # a modulus of at least the length hits each class once at most,
+            # so stepping by the length instead keeps the products in int64
+            hits.append((min(b, length), np.array(firsts, dtype=np.int64)))
+    out = _packed_output((length + 7) // 8)
+    for start in range(0, len(out), _SEGMENT_BYTES):
+        segment = out[start : start + _SEGMENT_BYTES]
+        if not masks:
+            segment[...] = 255
+        for i, mask in enumerate(masks):
+            _tile(segment, mask, start, first=not i)
+        lo_bit, hi_bit = 8 * start, min(length, 8 * (start + len(segment)))
+        for step, firsts in hits:
+            # the periods over the segment, a few at a time: each pass
+            # clears at most _SEGMENT_BYTES // 8 hits, or one period's
+            chunk = max(1, _SEGMENT_BYTES // 8 // len(firsts))
+            for j in range(lo_bit // step, (hi_bit - 1) // step + 1, chunk):
+                where = (np.arange(j, j + chunk, dtype=np.int64) * step - lo_bit)[:, None] + firsts
+                where = where[(where >= 0) & (where < hi_bit - lo_bit)]
+                np.bitwise_and.at(segment, where >> 3, (~(1 << (where & 7))).astype(np.uint8))
+    if length % 8:
+        out[-1] &= (1 << length % 8) - 1
     return out
 
 
 def _coding(residues: Residues, point, lo: int, hi: int) -> BinaryWord:
-    # The one-row case of the sieve, packed; object dtype keeps coordinates of any size.
+    """The coding of ``residues`` at ``point`` over [lo, hi), read-only.
+
+    A window of at most one segment (_SEGMENT_BYTES positions) is the byte
+    kernel's row, kept as the word's bits and packed on first use; a longer
+    one is the packed kernel's bytes, unpacked on first use.  Object dtype
+    keeps coordinates of any size.
+    """
     import numpy as np
-    packed = _sieve(lo, hi, residues, np.array([point], dtype=object), packed=True)
+    if hi - lo <= _SEGMENT_BYTES:
+        block = _sieve(lo, hi, residues, np.array([point], dtype=object))
+        block.setflags(write=False)
+        return BinaryWord._trusted(None, block[0], hi - lo, int(lo))
+    packed = _packed_sieve(residues, point, lo, hi)
     packed.setflags(write=False)
     return BinaryWord._trusted(packed, None, hi - lo, int(lo))
 

@@ -11,6 +11,7 @@ import json
 import math
 import operator
 import os
+import random
 import resource
 import sys
 import subprocess
@@ -310,3 +311,38 @@ def test_window_at_the_bit_budget():
     # the packed window and its pack() copy are 128 MiB each; one byte per
     # position would have needed 1 GiB
     assert got["max_rss_mb"] < 400, got["max_rss_mb"]
+
+
+# A periodic system of prime period 65537, above the wheel cap of 2^16, with
+# about 33 000 zero phases, over a window of more than one packed segment
+# that straddles -2^63: the packed kernel clears those classes directly, in
+# a number of numpy calls per segment that does not grow with the classes.
+PERIODIC = (65537, -(2**63) - 12345, 2**23 + 2**21 + 3)
+PERIODIC_CHILD = """
+import json, random, time
+import numpy as np
+from bfree import core, sturmian
+c, lo, length = {periodic}
+block = "".join(random.Random(28).choices("01", k=c))
+system = sturmian.PeriodicHereditarySystem(core.BinaryWord.from_string(block))
+t = time.perf_counter()
+word = system.window(lo, lo + length)
+elapsed = time.perf_counter() - t
+packed = np.frombuffer(word.pack(), dtype=np.uint8)
+rng = np.random.default_rng(28)
+idx = np.concatenate([np.arange(4096), np.arange(length - 4096, length), rng.integers(0, length, 10**5)])
+bits = (packed[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
+print(json.dumps({{"length": len(word), "elapsed_s": elapsed, "idx": idx.tolist(), "bits": bits.tolist()}}))
+""".format(periodic=PERIODIC)
+
+
+def test_periodic_window_past_the_wheel():
+    result = run_limited(["-c", PERIODIC_CHILD])
+    assert result.returncode == 0, result.stderr[-2000:]
+    got = json.loads(result.stdout)
+    c, lo, length = PERIODIC
+    block = "".join(random.Random(28).choices("01", k=c))
+    assert block.count("0") > 30_000 and got["length"] == length
+    # bit n of the periodic concatenation is bit n mod c of the block
+    assert got["bits"] == [int(block[(lo + i) % c]) for i in got["idx"]]
+    assert got["elapsed_s"] < 1, got["elapsed_s"]

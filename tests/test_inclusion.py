@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfree import inclusion
+from bfree import inclusion, sieve
 from bfree.admissibility import is_admissible
-from bfree.core import BSet, OdometerPoint, squarefree_family, validate_bset
+from bfree.core import BSet, OdometerPoint, crt_free_count, squarefree_family, validate_bset
 from bfree.errors import DivisiblePrecondition, NotCoprimeToC, WindowTooLarge
 from bfree.inclusion import (
     construct_admissible,
@@ -214,11 +215,25 @@ class TestDensityEstimate:
         assert density_estimate(validate_bset((9, 25)), c, r, 2250) == self._exact((9, 25), c, r, 2250)
         assert density_estimate(validate_bset((7,)), -c, -r, 50) == self._exact((7,), -c, -r, 50)
 
-    def test_horizon_budget(self):
+    def test_horizon_budget(self, monkeypatch):
+        # the budget is on the sieved tail t = horizon mod P, not the horizon:
+        # over [2, 3], horizons past the budget sieve at most 5 bits, exactly
+        bset = validate_bset([2, 3])
+        for horizon in (MAX_WINDOW_BITS + 1, 10**15):
+            q, t = divmod(horizon, 6)
+            tail = sum(all(s * 5 % b for b in (2, 3)) for s in range(1, t + 1))
+            assert density_estimate(bset, 5, 0, horizon) == (q * crt_free_count(bset) + tail) / horizon
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        for name in ("empty", "ones", "zeros", "array"):
+            monkeypatch.setattr(np, name, allocate)
+        monkeypatch.setattr(sieve, "_packed_output", allocate)
+        # one prime modulus 2^31 - 1 > 2^30, and a tail of 2^30 + 1 bits
+        prime = validate_bset([2**31 - 1])
         with pytest.raises(WindowTooLarge):
-            density_estimate(validate_bset([2, 3]), 5, 0, MAX_WINDOW_BITS + 1)
-        with pytest.raises(WindowTooLarge):
-            density_estimate(validate_bset([2, 3]), 5, 0, 10**15)
+            density_estimate(prime, 5, 0, prime.period + MAX_WINDOW_BITS + 1)
 
     @pytest.mark.parametrize("horizon", [900, 901, 1799, 10**5 + 7, 3 * 10**6])
     def test_counts_the_whole_horizon(self, horizon):

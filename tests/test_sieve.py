@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,16 @@ from hypothesis import strategies as st
 from bfree.core import BinaryWord, BSet, OdometerPoint, Residues, squarefree_family, validate_bset
 from bfree.errors import EmptyWord, WindowTooLarge
 from bfree.measures import _sample, sample_mirsky
-from bfree.sieve import _SEGMENT_BYTES, SAProfile, _sieve, eta_window, phi_sa_window, phi_window
+from bfree.sieve import (
+    _SEGMENT_BYTES,
+    SAProfile,
+    _coding,
+    _packed_sieve,
+    _sieve,
+    eta_window,
+    phi_sa_window,
+    phi_window,
+)
 from sieve_oracle import coding_oracle
 
 
@@ -411,12 +421,13 @@ def assert_packed(word, expected):
 
 
 class TestPackedWindows:
-    """A window is packed one segment at a time into (L + 7) // 8 bytes.
+    """A window longer than one segment is packed into (L + 7) // 8 bytes.
 
-    With the segment shrunk to 64-700 bytes, windows of m segments plus or
-    minus up to 8 bits end at every L mod 8 and cross segment boundaries;
-    with ``_WHEEL_MAX`` at 1 no wheel is built.  The examples run at the
-    real segment size.
+    With the segment shrunk to 64-700 bytes, windows of m segments' worth
+    of positions plus or minus up to 8 bits end at every L mod 8, on both
+    sides of one segment; with ``_WHEEL_MAX`` at 1 every modulus is above
+    the cap.  The examples run at the real segment size.  The packed
+    kernel's own test spans several output segments of 2-300 bytes.
     """
 
     @given(
@@ -470,7 +481,8 @@ class TestPackedWindows:
         # not, struck as a 2-D zeroing (every run of 2 or more with
         # _RUN_SPAN at 1), in the wheel once span >= 64 b_1; three rows at
         # one point form one all-rows group, three at distinct points
-        # (rows = -3) strike each class on its own
+        # (rows = -3) strike each class on its own; the packed kernel's
+        # bytes at the first point are the first row, packed
         moduli = []
         for b in sorted(set(drawn)):
             if all(math.gcd(b, c) == 1 for c in moduli):
@@ -487,10 +499,75 @@ class TestPackedWindows:
             patch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
             patch.setattr("bfree.sieve._RUN_SPAN", run_span)
             block = _sieve(lo, lo + span, residues, np.array(points, dtype=object))
-            packed = _sieve(lo, lo + span, residues, np.array(points[:1], dtype=object), packed=True)
+            packed = _packed_sieve(residues, points[0], lo, lo + span)
         for row, point in zip(block, points):
             assert np.array_equal(row, coding_oracle(moduli, classes, point, lo, lo + span))
         assert packed.tobytes() == np.packbits(block[0], bitorder="little").tobytes()
+
+    @given(
+        st.lists(st.one_of(st.sampled_from([2, 4, 8, 16]), st.integers(2, 300)), max_size=4, unique=True),
+        st.randoms(use_true_random=False),
+        st.lists(st.integers(-(10**20), 10**20), min_size=4, max_size=4),
+        st.sampled_from([0, 2**63, -(2**63), -(10**20)]),
+        st.integers(-9, 9),
+        st.integers(2, 300),
+        st.integers(1, 4),
+        st.integers(-8, 8),
+        st.sampled_from([1, 16, 60, 2**16]),
+    )
+    @example([2, 8, 9], random.Random(1), [1, 2, 3, 4], 2**63, 0, 7, 4, 3, 2**16)
+    @example([16, 27, 250, 251], random.Random(2), [0, 10**20, 5, -1], -(10**20), -9, 33, 4, -5, 2**16)
+    @settings(max_examples=100, deadline=None)
+    def test_packed_kernel_matches_modular_oracle(self, moduli, rng, point, base, shift, segment, m, k, wheel):
+        # Moduli coprime or not, 2, 4, 8 and 16 among them (lcm(b, 8) < 8b),
+        # each forbidding no class, one, half or all but one.  A window of m
+        # packed segments of 8 to 2400 bits, plus or minus up to 8 bits, is
+        # at least 64 times 16 to 37 positions long, so the cap mixes mask
+        # groups, whose periods rarely divide a segment, with moduli above
+        # it; with _WHEEL_MAX at 1 every modulus is above the cap.  Every
+        # such window is longer than a segment, so the kernel packs it.
+        moduli = sorted(moduli)
+        classes = tuple(
+            frozenset(rng.sample(range(b), rng.choice([0, 1, b // 2, b - 1]))) for b in moduli
+        )
+        residues, point = Residues(tuple(moduli), classes), point[: len(moduli)]
+        span, lo = max(1, m * 8 * segment + k), base + shift
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
+            patch.setattr("bfree.sieve._WHEEL_MAX", wheel)
+            word = _coding(residues, point, lo, lo + span)
+        assert word.offset == lo and word._bits is None
+        assert_packed(word, coding_oracle(moduli, classes, point, lo, lo + span))
+
+    def test_moduli_beyond_the_window(self, monkeypatch):
+        # moduli above the cap, one past the window's length with many
+        # classes and two past 2^63: each class hits at most once
+        monkeypatch.setattr("bfree.sieve._SEGMENT_BYTES", 16)
+        moduli, point, span = (3, 5000, 2**64 + 13, 10**30 + 57), (1, 7, 2**70, -5), 3 * 8 * 16 + 5
+        for lo in (0, 2**63 - 200, -(10**20)):
+            classes = (
+                frozenset({2}),
+                frozenset(range(0, 5000, 7)),
+                frozenset((point[2] + lo + n) % moduli[2] for n in (0, 200, span - 1)),
+                frozenset({(point[3] + lo + 129) % moduli[3], 5}),
+            )
+            word = _coding(Residues(moduli, classes), point, lo, lo + span)
+            expected = [
+                all((r + n) % b not in a for r, b, a in zip(point, moduli, classes)) for n in range(lo, lo + span)
+            ]
+            assert word.offset == lo and word._bits is None
+            assert_packed(word, np.array(expected, dtype=np.uint8))
+            assert not all(expected[n] for n in (0, 129, 200, span - 1))
+
+    def test_windows_up_to_one_segment_keep_their_bytes(self, monkeypatch):
+        # a window of at most one segment is the byte kernel's row, read-only,
+        # and packed only when its bytes are first read
+        monkeypatch.setattr("bfree.sieve._SEGMENT_BYTES", 100)
+        bset = validate_bset([2, 3])
+        for span, packed in ((1, False), (100, False), (101, True)):
+            word = eta_window(bset, -7, -7 + span)
+            assert (word._bits is None, word._data is None) == (packed, not packed)
+            assert_packed(word, coding_oracle((2, 3), [(0,)] * 2, [0, 0], -7, -7 + span))
 
     def test_words_agree_across_constructors(self):
         # one set of bits reached six ways gives equal words with equal hashes
