@@ -201,10 +201,11 @@ class BinaryWord:
 
     ``bits[i]`` is the symbol at absolute coordinate ``offset + i``.  The
     support is the set of absolute coordinates carrying a 1.  A sieved
-    window longer than one sieve segment is stored packed, eight positions
-    to a byte in little-endian bit order with zero padding (the format of
-    :meth:`pack`), so it costs one bit per position; a shorter one, and a
-    word built from a byte array, keeps its byte array.
+    window longer than one sieve segment, or with restored blocks patched
+    in, is stored packed, eight positions to a byte in little-endian bit
+    order with zero padding (the format of :meth:`pack`), so it costs one
+    bit per position; a shorter one, and a word built from a byte array,
+    keeps its byte array.
     Each form is derived from the other once, on first use: ``bits`` is the
     unpacked read-only uint8 array, and comparisons, hashing, ``ones`` and
     :meth:`dominated_by` read the packed bytes.

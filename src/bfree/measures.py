@@ -63,7 +63,7 @@ from typing import Callable, Iterable
 
 from .core import BinaryWord, BSet, CylinderSpec, Residues
 from .errors import BudgetExceeded, EmptySupport, LengthMismatch, TooManyZeros
-from .sieve import SAProfile, _check_window, _sieve
+from .sieve import SAProfile, _check_window, _coding, _sieve
 
 __all__ = [
     "GENERATOR_ID",
@@ -345,10 +345,11 @@ def _sample(residues: Residues, p: Fraction, lo: int, hi: int, count: int, seed:
     P = prod m_k: row i is the all-zero point's coding shifted by the t_i
     in [0, P) with t_i == omegas[i, k] (mod m_k) (CRT; each class set is
     m_k-translation invariant mod b_k).  So when P <= count, one line,
-    that coding over [lo, hi + P - 1), is sieved and row i is its L-bit
-    slice from t_i.  Memory is the block plus that (P + L - 1)-byte
-    line, and P + L - 1 <= count * L, so the line is within the block's
-    budget.  With fewer rows than points, or moduli that are not
+    that coding over [lo, hi + P - 1), is the window of
+    :func:`bfree.sieve._coding` and row i is its L-bit slice from t_i.
+    Memory is the block plus that line's P + L - 1 bytes (and, past one
+    segment, their packed eighth), and P + L - 1 <= count * L, so the line
+    is within the block's budget.  With fewer rows than points, or moduli that are not
     coprime, every row is sieved.
 
     Both reductions, each coordinate mod m_k in :func:`_uniform` and
@@ -375,7 +376,7 @@ def _sample(residues: Residues, p: Fraction, lo: int, hi: int, count: int, seed:
     period = math.prod(draw_moduli)
     if period <= count and math.lcm(*draw_moduli) == period:
         from numpy.lib.stride_tricks import as_strided
-        line = _sieve(lo, hi + period - 1, residues, np.zeros((1, len(draw_moduli)), np.int64))[0]
+        line = _coding(residues, (0,) * len(draw_moduli), lo, hi + period - 1).bits
         # t_i by CRT in int64: the sum is below sum_k m_k * P <= P^2, and
         # P <= count <= 2^30 by the budget, so one reduction at the end, the
         # floor-division remainder of the nonnegative sum, with one scratch

@@ -1,22 +1,19 @@
 """Windowed generation of multiple-free indicator sequences.
 
 Every window is the coding of one residue system (:class:`bfree.core.Residues`)
-at one odometer point, produced by one of two segmented residue sieves.
+at one odometer point.  Every one-row window is built by :func:`_coding`,
+with one of two residue sieves.
 
 The byte kernel (:func:`_sieve`) strikes a whole (rows, L) block of codings
-at once, one byte per position, as the samplers use it.  The smallest
+at once, one byte per position, as the samplers' blocks use it.  The smallest
 moduli, while their product P stays at most min(2^16, L // 64), form the
 wheel: their forbidden classes are struck once into a P-column block of
-ones, which is P-periodic in the position.  The block is then filled one
-segment at a time, a column slice of whole periods holding about 2^20
-bytes: the wheel is tiled into the segment and each class of the remaining
-moduli is struck there by strided assignment (a long run of consecutive
-classes by one 2-D zeroing) while the segment is still in cache.  Only a
-one-row block longer than 2^20 bits is cut; a block of several rows is one
-segment, since cutting it would repeat every row group's strike in each
-segment.  Work is O(L + sum over the other moduli of s_k L / b_k) per row,
-plus one strike call per class run and segment.  A window of at most 2^20
-bits is its one-row case and keeps that byte row.
+ones, which is P-periodic in the position and is tiled over the block.
+Each class of the remaining moduli is then struck by strided assignment (a
+long run of consecutive classes by one 2-D zeroing).  Work is O(L + sum
+over the other moduli of s_k L / b_k) per row, plus one strike call per
+class run.  A window of at most 2^20 bits is its one-row case and keeps
+that byte row.
 
 The packed kernel (:func:`_packed_sieve`) builds a longer window eight
 positions to a byte, so its memory is L / 8 bytes.  The moduli up to the
@@ -58,10 +55,7 @@ MAX_WINDOW_BITS = 2**30
 _WHEEL_MAX = 2**16
 _WHEEL_REPEATS = 64
 
-# A long one-row block is filled and struck one segment at a time: a column
-# slice of whole wheel periods holding about _SEGMENT_BYTES, so every
-# strike on it lands while the freshly tiled segment is still in cache.  A
-# window of more than _SEGMENT_BYTES positions is packed, in segments of
+# A window of more than _SEGMENT_BYTES positions is packed, in segments of
 # _SEGMENT_BYTES output bytes, each masked by every group while in cache.
 _SEGMENT_BYTES = 2**20
 
@@ -145,36 +139,35 @@ def _plan_strikes(lo: int, moduli, classes, omegas: np.ndarray) -> list:
     return plan
 
 
-def _strike(segment: np.ndarray, plan, start: int) -> None:
-    """Apply a strike plan to ``segment``, the block's columns from ``start`` on.
+def _strike(block: np.ndarray, plan) -> None:
+    """Apply a strike plan to the (rows, L) ``block``.
 
     A run of r classes is one 2-D zeroing: the columns from its first one,
     viewed as (periods, b), lose their first r columns; the columns of the
     run that wrap past b also lie before its first one, and the last
-    partial period is cut at the segment's end.
+    partial period is cut at the block's end.
     """
-    width = segment.shape[1]
+    width = block.shape[1]
     for rows, first, b, run in plan:
-        first = (first - start) % b
         if run == 1:
-            segment[rows, first::b] = 0
+            block[rows, first::b] = 0
             continue
         if first + run > b:
-            segment[:, : first + run - b] = 0
+            block[:, : first + run - b] = 0
         periods = max(0, (width - first) // b)
         if periods:
-            segment[:, first : first + periods * b].reshape(len(segment), periods, b)[:, :, :run] = 0
-        segment[:, first + periods * b : first + periods * b + run] = 0
+            block[:, first : first + periods * b].reshape(len(block), periods, b)[:, :, :run] = 0
+        block[:, first + periods * b : first + periods * b + run] = 0
 
 
 def _sieve(lo: int, hi: int, residues: Residues, omegas: np.ndarray) -> np.ndarray:
     """Writable (rows, hi - lo) uint8 codings, one row per row of ``omegas``.
 
-    The byte kernel, for sampler blocks and lines, for one-segment windows
+    The byte kernel, for sampler blocks, for windows of at most one segment
     and for the periods of the packed kernel's masks.  Bit (i, n - lo) is 1
     iff (omegas[i, k] + n) mod b_k avoids classes[k] for every k.  The wheel
-    moduli are struck into a (rows, P) block; each segment of the block is
-    tiled from it and then struck by the plan of the remaining moduli.
+    moduli are struck into a (rows, P) block, which is tiled over the output
+    and then struck by the plan of the remaining moduli.
     """
     import numpy as np
     moduli, classes = residues.moduli, residues.classes
@@ -184,47 +177,33 @@ def _sieve(lo: int, hi: int, residues: Residues, omegas: np.ndarray) -> np.ndarr
     while w < len(moduli) and period * moduli[w] <= cap:
         period *= moduli[w]
         w += 1
-    wheel = None
+    out = np.empty((rows, length), dtype=np.uint8)
     if w:
         wheel = np.ones((rows, period), dtype=np.uint8)
-        _strike(wheel, _plan_strikes(lo, moduli[:w], classes[:w], omegas[:, :w]), 0)
-    plan = _plan_strikes(lo, moduli[w:], classes[w:], omegas[:, w:])
-    # Only a long one-row block is cut: a block of several rows would
-    # repeat every row group's index-array strike in each segment.
-    width = length
-    if rows == 1 and length > _SEGMENT_BYTES:
-        width = max(1, _SEGMENT_BYTES // period) * period
-    out = np.empty((rows, length), dtype=np.uint8)
-    for start in range(0, length, width):
-        stop = min(start + width, length)
-        segment = out[:, start:stop]
-        if wheel is None:
-            # no wheel: a scalar fill, several times faster than tiling a
-            # one-column wheel of ones over short rows
-            segment[...] = 1
-        else:
-            tiled = stop - start - (stop - start) % period
-            # segments start on whole periods, and splitting the unit-stride
-            # column axis is always a view, never a copy
-            segment[:, :tiled].reshape(rows, tiled // period, period)[...] = wheel[:, None, :]
-            segment[:, tiled:] = wheel[:, : stop - start - tiled]
-        _strike(segment, plan, start)
+        _strike(wheel, _plan_strikes(lo, moduli[:w], classes[:w], omegas[:, :w]))
+        _tile(out, wheel, 0, first=True)
+    else:
+        # no wheel: a scalar fill, several times faster than tiling a
+        # one-column wheel of ones over short rows
+        out[...] = 1
+    _strike(out, _plan_strikes(lo, moduli[w:], classes[w:], omegas[:, w:]))
     return out
 
 
 def _tile(segment: np.ndarray, mask: np.ndarray, start: int, first: bool) -> None:
-    # Write (first) or AND the periodic ``mask`` over ``segment``, the bytes
-    # from ``start`` on of a sequence whose byte 0 is mask[0]: a head up to
-    # the mask's next period, whole periods as one (periods, len(mask))
-    # view, and a tail.
-    size, phase = len(mask), start % len(mask)
-    head = min(len(segment), size - phase)
-    periods = (len(segment) - head) // size
+    # Write (first) or AND the periodic ``mask`` over the last axis of
+    # ``segment``, the columns from ``start`` on of a sequence whose column
+    # 0 is the mask's: a head up to the mask's next period, whole periods as
+    # one (..., periods, len) view, and a tail.  Splitting the unit-stride
+    # last axis is always a view, never a copy.
+    size, phase, width = mask.shape[-1], start % mask.shape[-1], segment.shape[-1]
+    head = min(width, size - phase)
+    periods = (width - head) // size
     body = head + periods * size
     for part, pattern in (
-        (segment[:head], mask[phase : phase + head]),
-        (segment[head:body].reshape(periods, size), mask),
-        (segment[body:], mask[: len(segment) - body]),
+        (segment[..., :head], mask[..., phase : phase + head]),
+        (segment[..., head:body].reshape(*segment.shape[:-1], periods, size), mask[..., None, :]),
+        (segment[..., body:], mask[..., : width - body]),
     ):
         if first:
             part[...] = pattern

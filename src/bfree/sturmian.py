@@ -461,8 +461,8 @@ def minimal_subset_variant(
 
     The window is one sieve coding: the system's modulus c, and per product
     P_k the modulus c P_k forbidding the c classes of block (k - 1) mod P_k.
-    Block k - 1 is then restored from the periodic window unless an
-    earlier product zeroes it.
+    Block k - 1 is then restored from the periodic window, in the coding's
+    packed bytes, unless an earlier product zeroes it.
     """
     if any(primes[i] >= primes[i + 1] for i in range(len(primes) - 1)):
         raise ValueError("primes must be strictly increasing")
@@ -481,15 +481,23 @@ def minimal_subset_variant(
         moduli.append(c * P)
         classes.append(frozenset(range((k - 1) % P * c, (k - 1) % P * c + c)))
         products.append((k, P))
-    residues = Residues(tuple(moduli), tuple(classes))
-    bits = sieve._sieve(lo, hi, residues, np.zeros((1, len(moduli)), dtype=object))[0]
-    for k, _ in products:
-        # product j zeroes block k - 1 iff P_j divides k - j, never for j = k
-        if first <= k - 1 <= last and all((k - j) % P_j for j, P_j in products if j < k):
-            start, stop = max(lo, k * c - c), min(hi, k * c)
-            bits[start - lo : stop - lo] = system.window(start, stop).bits
-    bits.setflags(write=False)
-    return BinaryWord._trusted(None, bits, hi - lo, int(lo))
+    word = sieve._coding(Residues(tuple(moduli), tuple(classes)), (0,) * len(moduli), lo, hi)
+    # product j zeroes block k - 1 iff P_j divides k - j, never for j = k
+    restored = [
+        k for k, _ in products if first <= k - 1 <= last and all((k - j) % P_j for j, P_j in products if j < k)
+    ]
+    if not restored:
+        return word
+    packed = word._packed.copy()
+    for k in restored:
+        # the block's bits, patched into the bytes that hold them
+        start, stop = max(lo, k * c - c), min(hi, k * c)
+        i, j = (start - lo) // 8, (stop - lo + 7) // 8
+        chunk = np.unpackbits(packed[i:j], bitorder="little")
+        chunk[start - lo - 8 * i : stop - lo - 8 * i] = system.window(start, stop).bits
+        packed[i:j] = np.packbits(chunk, bitorder="little")
+    packed.setflags(write=False)
+    return BinaryWord._trusted(packed, None, hi - lo, int(lo))
 
 
 def close_alpha_block_containment(alpha, beta, n: int) -> bool:

@@ -274,6 +274,70 @@ def test_residue_system_sweep():
     assert got == expected
 
 
+# A 0-bit word, in each of its three forms (from a string, from a byte
+# array, from packed bytes) and at offsets 0 and -10^20, through every
+# entry point that takes a word.  Each answers exactly or raises a
+# BFreeError or ValueError.
+EMPTY_MODULI, EMPTY_OFFSETS = (4, 9), (0, -(10**20))
+
+EMPTY_CHILD = """
+import json
+import numpy as np
+from bfree import admissibility as A, core, entropy, measures, sieve, sturmian
+from bfree.errors import BFreeError
+bset = core.validate_bset({moduli})
+profile = sieve.SAProfile.plain(bset)
+out = {{}}
+for offset in {offsets}:
+    forms = {{"string": core.BinaryWord.from_string("", offset),
+              "array": core.BinaryWord(np.zeros(0, dtype=np.uint8), offset),
+              "packed": core.BinaryWord.unpack(b"", 0, offset)}}
+    for form, w in forms.items():
+        calls = {{
+            "is_admissible": lambda: A.is_admissible(w, bset),
+            "theta_window": lambda: [None if c is None else sorted(c) for c in A.theta_window(w, bset)],
+            "spectrum_profile": lambda: json.loads(A.spectrum_profile(w, bset).to_json()),
+            "residue_hits": lambda: [sorted(h) for h in A.residue_hits(w, bset)],
+            "density": lambda: str(w.density()),
+            "squeeze": lambda: json.loads(measures.squeeze(w, w).to_json()),
+            "embed": lambda: json.loads(measures.embed(w, w).to_json()),
+            "dominated_by": lambda: w.dominated_by(w),
+            "crt_density_bound": lambda: [str(x) for x in entropy.crt_density_bound(profile, w)],
+            "PeriodicHereditarySystem": lambda: sturmian.PeriodicHereditarySystem(w).block.to_string(),
+        }}
+        for name, call in calls.items():
+            try:
+                out[f"{{name}} {{form}} {{offset}}"] = call()
+            except (BFreeError, ValueError) as err:
+                out[f"{{name}} {{form}} {{offset}}"] = {{"error": type(err).__name__}}
+print(json.dumps(out))
+""".format(moduli=EMPTY_MODULI, offsets=EMPTY_OFFSETS)
+
+
+def test_empty_words():
+    result = run_limited(["-c", EMPTY_CHILD])
+    assert result.returncode == 0, result.stderr[-2000:]
+    got = json.loads(result.stdout)
+    expected = {}
+    for offset, form in itertools.product(EMPTY_OFFSETS, ("string", "array", "packed")):
+        # an empty support hits no residue, so every class is missed: the
+        # word is admissible and every coordinate is a candidate
+        answers = {
+            "is_admissible": True,
+            "theta_window": [list(range(b)) for b in EMPTY_MODULI],
+            "spectrum_profile": [{"b": b, "s": b, "missing": list(range(b)), "b_prime": 1} for b in EMPTY_MODULI],
+            "residue_hits": [[] for _ in EMPTY_MODULI],
+            "density": {"error": "EmptyWord"},
+            "squeeze": {"error": "EmptySupport"},
+            "embed": {"offset": offset, "bits": ""},
+            "dominated_by": True,
+            "crt_density_bound": {"error": "WrongWindowLength"},
+            "PeriodicHereditarySystem": {"error": "NotMinimalPeriod"},
+        }
+        expected.update({f"{name} {form} {offset}": answer for name, answer in answers.items()})
+    assert got == expected
+
+
 # A window at the bit budget answers, one bit per position, and one bit
 # more is refused before any work.
 BUDGET_CHILD = """

@@ -419,15 +419,21 @@ class TestSamplerContractV2:
             sample_mirsky(bset, 0, 64, 7, seed=0)
 
     def test_blocks_cut_from_one_sieved_line(self, monkeypatch):
-        # what the sieve is asked for: one line of P + L - 1 bits when the
-        # odometer is cyclic and P <= count, otherwise every row
-        calls, sieve = [], measures._sieve
+        # what the sieve is asked for: one line of P + L - 1 bits, a
+        # one-row window of _coding, when the odometer is cyclic and
+        # P <= count, otherwise every row of the byte kernel's block
+        calls, sieve, coding = [], measures._sieve, measures._coding
 
         def record(lo, hi, residues, omegas):
             calls.append((len(omegas), hi - lo))
             return sieve(lo, hi, residues, omegas)
 
+        def record_line(residues, point, lo, hi):
+            calls.append((1, hi - lo))
+            return coding(residues, point, lo, hi)
+
         monkeypatch.setattr(measures, "_sieve", record)
+        monkeypatch.setattr(measures, "_coding", record_line)
         sample_mirsky(validate_bset([2, 3]), 0, 20, 20000, seed=1)
         sample_product(ProductMeasureSpec(squarefree_family(4), Fraction(1, 2)), 5, 1005, 4, seed=2)
         sample_periodic_windows(two_mme_system()[0], Fraction(1, 2), 18, 9, seed=3)

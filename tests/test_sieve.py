@@ -315,13 +315,14 @@ class TestWheelSieve:
 
 
 class TestSegmentedSieve:
-    """Windows cut into many segments by a segment of 64 to 700 bytes.
+    """Windows on both sides of a segment shrunk to 64 to 700 bytes.
 
-    A one-row window longer than ``_SEGMENT_BYTES`` is filled and struck
-    one column slice of whole wheel periods at a time, so with the constant
-    shrunk every window below crosses segment boundaries, with the wheel
-    engaged once L >= 64 * b_1 and without it below that.  A block of
-    several rows stays one segment.
+    A one-row window of more than ``_SEGMENT_BYTES`` positions is the
+    packed kernel's, built in segments of ``_SEGMENT_BYTES`` packed bytes,
+    so with the constant shrunk most windows below cross segment
+    boundaries; a shorter one is the byte kernel's row, with the wheel
+    engaged once L >= 64 * b_1 and without it below that.  The byte
+    kernel's block of several rows is never cut.
     """
 
     @given(
@@ -347,12 +348,15 @@ class TestSegmentedSieve:
     @pytest.mark.parametrize(
         "moduli, segment, span",
         [
-            # P = 210, segments of 420 bits, and 64 * 210 + 11 = 32 * 420 + 11
+            # one mask of P = 210, 105 bytes; 1682 packed bytes make three
+            # segments of 500 and a last one of 182 that starts mid-period
             ([2, 3, 5, 7], 500, 64 * 210 + 11),
-            # P = 44100 is wider than a segment, so each segment is one period
+            # the mask of P = 44100, 11025 bytes, is longer than a segment,
+            # so each segment of 300 bytes is a slice of one or two periods
             ([4, 9, 25, 49], 300, 64 * 44100 + 101),
-            # P = 36, segments of 504 bits, and the 16th segment is one bit
-            # (a 1 at this point): a dropped last segment would leave it unset
+            # masks of 9, 25 and 49 bytes over segments of 512 and 434 bytes,
+            # and the last byte holds one bit (a 1 at this point): a wrong
+            # padding mask would clear it
             ([4, 9, 25, 49], 512, 15 * 504 + 1),
         ],
     )
@@ -376,8 +380,9 @@ class TestSegmentedSieve:
     @example(SAProfile.plain(BSet((4, 6))), 2**64 + 1, 3000, (2, 0), 8, 300)
     @settings(max_examples=40, deadline=None)
     def test_sampled_rows_match_modular_oracle(self, profile, lo, span, counts, seed, segment):
-        # a one-row sample, and the line a block of P' or more rows is cut
-        # from, are cut into segments; a block of several rows is not
+        # the line a block of P' or more rows is cut from is a one-row
+        # window, packed when longer than a segment; any other block, of
+        # one row or several, is the byte kernel's, never cut
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("bfree.sieve._SEGMENT_BYTES", segment)
             assert_sampled_rows(profile, lo, span, counts, seed)
@@ -392,7 +397,7 @@ class TestSegmentedSieve:
         sf4, budget = squarefree_family(4), 4 * 64 * 900
         monkeypatch.setattr("bfree.sieve._SEGMENT_BYTES", 512)
         monkeypatch.setattr("bfree.sieve.MAX_WINDOW_BITS", budget)
-        # at the budget the window is built, across 256 segments of one 900-bit period
+        # at the budget the window is built, packed across 57 segments
         assert np.array_equal(
             eta_window(sf4, 5, 5 + budget).bits, coding_oracle(sf4.moduli, [(0,)] * 4, [0] * 4, 5, 5 + budget)
         )

@@ -97,6 +97,39 @@ def test_sieve_kernel_is_seen_by_the_rule():
     assert _strided_zero_lines(source) == [2, 5]
 
 
+def _byte_kernel_lines(source):
+    """Lines that import or name ``_sieve``, the byte kernel."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "value", None)]
+        if "_sieve" in names:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in ("sieve.py", "measures.py")], ids=lambda p: p.name
+)
+def test_one_row_windows_only_through_the_coding(path):
+    # sieve._coding builds every one-row window; the byte kernel serves it,
+    # the packed kernel's masks and the sampler's blocks, so a module that
+    # called it for a window would be a second path to keep right
+    lines = _byte_kernel_lines(path.read_text())
+    assert not lines, f"{path.name} names the byte kernel _sieve at lines {lines}"
+
+
+def test_byte_kernel_rule_sees_every_reference():
+    assert _byte_kernel_lines((Path(bfree.__file__).parent / "measures.py").read_text())
+    source = (
+        "from .sieve import _sieve\nfrom . import sieve\nx = sieve._sieve(0, 1, r, o)\ny = _sieve\n"
+        "z = sieve._packed_sieve\nfrom .sieve import _sieve as s\nf = getattr(sieve, '_sieve')\n"
+    )
+    assert _byte_kernel_lines(source) == [1, 3, 4, 6, 7]
+
+
 def _self_calls(source):
     """(function name, line) of every call a function makes to itself by name."""
     found = []

@@ -769,21 +769,39 @@ class TestMinimalSubsetVariant:
             w = minimal_subset_variant(system, primes, lo, hi)
             assert np.array_equal(w.bits, _zeroed_by_index(system, primes, lo, hi))
 
+    @pytest.mark.parametrize("block", ["1", "101001000", "1" * 37 + "0" * 63], ids=["c1", "c9", "c100"])
+    @pytest.mark.parametrize("lo", [-13, 5, 3, -(10**12) - 3, 10**12 + 1])
+    def test_windows_past_a_segment(self, monkeypatch, block, lo):
+        # with the segment shrunk to 64 bytes, windows of 5 to 6 segments'
+        # worth of positions are the packed kernel's and stay packed; near 0
+        # the restored blocks k - 1 (c = 1, 9 and 100) start and end inside
+        # bytes, the first one cut by the window from lo = 5, and far from 0
+        # no block is restored
+        monkeypatch.setattr("bfree.sieve._SEGMENT_BYTES", 64)
+        system = PeriodicHereditarySystem(BinaryWord.from_string(block))
+        for span, primes in ((8 * 64 * 5 + 3, [2, 3, 5, 7, 11]), (8 * 64 * 6, [2, 3, 5, 7, 11, 13])):
+            w = minimal_subset_variant(system, primes, lo, lo + span)
+            assert w.offset == lo and len(w) == span and w._bits is None
+            assert np.array_equal(w.bits, _zeroed_by_position(system, primes, lo, lo + span))
+            assert np.array_equal(w.bits, _zeroed_by_index(system, primes, lo, lo + span))
+
     def test_a_few_bytes_per_position(self):
-        # one sieved window, a byte per position, with no per-block flags
-        # and no block-padded copy; a one-bit block (c = 1) has one block
-        # per position, so flags would cost as much as the window
-        lo, size = -(10**12), 1 << 20
+        # one sieved window, with no per-block flags and no block-padded
+        # copy; a one-bit block (c = 1) has one block per position, so flags
+        # would cost as much as the window.  A window of one segment is a
+        # byte per position, a longer one a bit per position.
+        lo = -(10**12)
         for block in ("101001000", "1"):
             system = PeriodicHereditarySystem(BinaryWord.from_string(block))
-            minimal_subset_variant(system, [2, 3, 5, 7], lo, lo + 64)
-            tracemalloc.start()
-            try:
+            for size, budget in ((1 << 20, (1 << 20) * 5 // 4), (6 << 20, (6 << 20) // 8 * 5 // 4)):
                 minimal_subset_variant(system, [2, 3, 5, 7], lo, lo + size)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= size + size // 4, (block, peak)
+                tracemalloc.start()
+                try:
+                    minimal_subset_variant(system, [2, 3, 5, 7], lo, lo + size)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= budget, (block, size, peak)
 
     def test_zeroes_even_blocks(self):
         a, _ = two_mme_system()
